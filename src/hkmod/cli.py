@@ -22,7 +22,7 @@ from .hilb2 import (
     m0_s0,
     unicita_report,
 )
-from .jsonio import canonical_json, encode, load_json_file, to_rational
+from .jsonio import canonical_json, encode, load_json_file, to_int, to_rational
 from .lattice import IntLattice, lattice_from_json, latvec_from_json, pair
 from .mukai import (
     MukaiNumerics,
@@ -125,13 +125,16 @@ def cmd_fujiki(args) -> int:
     if "gram" not in setup_data:
         raise InputError("setup needs a 'gram' pairing matrix")
     pairing = lattice_from_json({"gram": setup_data["gram"]})
+    n = setup_data.get("n")
+    if n is not None:
+        n = to_int(n, "n")
     if "kind" in setup_data:
-        setup = FujikiSetup.for_kind(setup_data["kind"], pairing, setup_data.get("n"))
+        setup = FujikiSetup.for_kind(setup_data["kind"], pairing, n)
     else:
-        if "n" not in setup_data or "c_x" not in setup_data:
+        if n is None or "c_x" not in setup_data:
             raise InputError("setup needs 'kind' or both 'n' and 'c_x'")
         setup = FujikiSetup(
-            n=int(setup_data["n"]),
+            n=n,
             c_x=to_rational(setup_data["c_x"]),
             pairing=pairing,
         )
@@ -219,7 +222,7 @@ def cmd_reduce(args) -> int:
     for item in steps_data:
         if not isinstance(item, dict) or "r_b" not in item or "deg_b" not in item:
             raise InputError("each step needs keys r_b and deg_b")
-        steps.append(ModificationStep(int(item["r_b"]), int(item["deg_b"])))
+        steps.append(ModificationStep(to_int(item["r_b"], "r_b"), to_int(item["deg_b"], "deg_b")))
     trace = reduction_trace(ns, v, steps, f)
     _emit(args, trace.to_json_dict())
     return 0
@@ -230,8 +233,7 @@ def cmd_rigid(args) -> int:
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     f = _fiber_vec(args, ns)
     w = rigid_vector(ns, v, f)
-    k_frac = pair(ns, v.l, f)
-    k = int(k_frac)
+    k = pair(ns, v.l, f)
     r0, d0 = bezout_r0_d0(v.r, k)
     vsq = mukai_square(ns, v)
     _emit(

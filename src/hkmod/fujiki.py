@@ -125,16 +125,16 @@ def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(tuple(range(count)))
 
 
-def matchings_sum(q_values: Callable[..., Fraction], classes: Sequence) -> Fraction:
+def matchings_sum(q_values: Callable[..., int | Fraction], classes: Sequence) -> int | Fraction:
     """Sum over all perfect matchings of the product of pairwise form values."""
     items = list(classes)
     if len(items) % 2:
         raise InputError("matchings sum needs an even number of classes")
-    total = Fraction(0)
+    total = 0
     for matching in perfect_matchings(len(items)):
-        prod = Fraction(1)
+        prod = 1
         for i, j in matching:
-            prod *= Fraction(q_values(items[i], items[j]))
+            prod *= q_values(items[i], items[j])
             if prod == 0:
                 break
         total += prod

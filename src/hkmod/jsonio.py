@@ -28,12 +28,20 @@ def to_rational(value) -> Fraction:
     raise InputError(f"cannot parse rational from {value!r} of type {type(value).__name__}")
 
 
+def to_exact(value) -> int | Fraction:
+    """Parse an exact rational as to_rational does; an integral value comes back as an int."""
+    if type(value) is int:
+        return value
+    q = to_rational(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def to_int(value, what: str = "value") -> int:
     """Parse an exact integer; rationals with denominator 1 are accepted."""
-    q = to_rational(value)
-    if q.denominator != 1:
+    q = to_exact(value)
+    if type(q) is not int:
         raise InputError(f"{what} must be an integer, got {q}")
-    return int(q)
+    return q
 
 
 def encode(value):

@@ -1,8 +1,9 @@
 """Exact integer-lattice arithmetic.
 
 A lattice is a finite-rank free module with an integral symmetric Gram
-matrix; vectors carry exact rational coordinates. Everything here is
-tolerance-free: arbitrary-precision integers and fractions only.
+matrix; vectors carry exact coordinates: plain ints where integral,
+Fractions otherwise. Everything here is tolerance-free:
+arbitrary-precision integers and fractions only.
 """
 
 from __future__ import annotations
@@ -10,24 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .jsonio import to_int, to_rational
+from .jsonio import to_exact, to_int
 
 
 @dataclass(frozen=True)
 class LatVec:
-    """Vector with exact rational coordinates; `integral` is validated at build time."""
+    """Vector with exact coordinates: ints where integral, Fractions otherwise. Build it with vec()."""
 
-    coords: tuple[Fraction, ...]
-    integral: bool = False
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if not isinstance(self.coords, tuple) or not self.coords:
             raise InputError("coords must be a nonempty tuple")
-        if self.integral and any(c.denominator != 1 for c in self.coords):
-            raise InputError(f"vector flagged integral has non-integer coordinates {self.coords}")
+
+    @property
+    def integral(self) -> bool:
+        return all(type(c) is int for c in self.coords)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -43,7 +46,7 @@ class LatVec:
         return vec(a - b for a, b in zip(self.coords, other.coords))
 
     def __rmul__(self, scalar) -> "LatVec":
-        s = Fraction(scalar)
+        s = to_exact(scalar)
         return vec(s * c for c in self.coords)
 
     def __neg__(self) -> "LatVec":
@@ -56,16 +59,15 @@ class LatVec:
     def int_coords(self) -> tuple[int, ...]:
         if not self.integral:
             raise InputError(f"vector {self.coords} is not integral")
-        return tuple(int(c) for c in self.coords)
+        return self.coords
 
     def to_json_dict(self):
         return list(self.coords)
 
 
 def vec(coords: Iterable) -> LatVec:
-    """Build a LatVec from ints, Fractions, or 'p/q' strings; integrality is inferred."""
-    cs = tuple(to_rational(c) for c in coords)
-    return LatVec(cs, integral=all(c.denominator == 1 for c in cs))
+    """Build a LatVec from ints, Fractions, or 'p/q' strings; integral coordinates become ints."""
+    return LatVec(tuple(map(to_exact, coords)))
 
 
 def latvec_from_json(data, rank: int | None = None) -> LatVec:
@@ -126,40 +128,24 @@ def _check_len(L: IntLattice, v: LatVec):
         raise InputError(f"vector length {len(v)} does not match lattice rank {L.rank}")
 
 
-def pair(L: IntLattice, v: LatVec, w: LatVec) -> Fraction:
-    """Evaluate the symmetric bilinear form v^T * gram * w."""
+def pair(L: IntLattice, v: LatVec, w: LatVec) -> int | Fraction:
+    """Evaluate the symmetric bilinear form v^T * gram * w: an int when both vectors are integral."""
     _check_len(L, v)
     _check_len(L, w)
-    if v.integral and w.integral:
-        # gram entries are ints, so the whole contraction stays in int
-        ws = tuple(wj.numerator for wj in w.coords)
-        total = 0
-        for i, vi in enumerate(v.coords):
-            n = vi.numerator
-            if n:
-                row = L.gram[i]
-                total += n * sum(map(int.__mul__, row, ws))
-        return Fraction(total)
-    total = Fraction(0)
-    for i, vi in enumerate(v.coords):
-        if vi == 0:
-            continue
-        row = L.gram[i]
-        total += vi * sum(row[j] * wj for j, wj in enumerate(w.coords) if wj != 0)
+    total = 0
+    for vi, row in zip(v.coords, L.gram):
+        total += vi * sum(map(mul, row, w.coords))
     return total
 
 
-def norm(L: IntLattice, v: LatVec) -> Fraction:
+def norm(L: IntLattice, v: LatVec) -> int | Fraction:
     """Self-pairing pair(v, v)."""
     return pair(L, v, v)
 
 
 def content(v: LatVec) -> int:
     """Gcd of the integer coordinates (0 for the zero vector)."""
-    g = 0
-    for c in v.int_coords():
-        g = gcd(g, abs(c))
-    return g
+    return gcd(*v.int_coords())
 
 
 def divisibility(L: IntLattice, v: LatVec) -> int:
@@ -170,7 +156,7 @@ def divisibility(L: IntLattice, v: LatVec) -> int:
     # zero vector pairs to zero with everything: returns 0 by convention
     g = 0
     for i in range(L.rank):
-        g = gcd(g, abs(int(pair(L, v, L.basis_vector(i)))))
+        g = gcd(g, pair(L, v, L.basis_vector(i)))
     return g
 
 
@@ -188,7 +174,7 @@ def primitive_part(L: IntLattice, v: LatVec) -> LatVec:
     if v.is_zero:
         raise InputError("the zero vector has no primitive part")
     c = content(v)
-    return vec(Fraction(x, c) for x in v.int_coords())
+    return vec(x // c for x in v.int_coords())
 
 
 def saturation_check(L: IntLattice, v1: LatVec, v2: LatVec) -> bool:

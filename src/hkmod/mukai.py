@@ -54,9 +54,7 @@ def mukai_from_json(data, rank: int | None = None) -> MukaiVector:
 
 def mukai_pairing(ns: IntLattice, v: MukaiVector, w: MukaiVector) -> int:
     """Pairing <v, w> = (l, l') - r*s' - r'*s."""
-    value = pair(ns, v.l, w.l) - v.r * w.s - w.r * v.s
-    assert value.denominator == 1
-    return int(value)
+    return pair(ns, v.l, w.l) - v.r * w.s - w.r * v.s
 
 
 def mukai_square(ns: IntLattice, v: MukaiVector) -> int:
@@ -75,9 +73,9 @@ def from_chern(ns: IntLattice, r: int, c1: LatVec, c2: int) -> MukaiVector:
     if not c1.integral:
         raise InputError("c1 must be integral")
     c1sq = norm(ns, c1)
-    if c1sq.denominator != 1 or int(c1sq) % 2:
+    if c1sq % 2:
         raise MathCheckError(f"c1^2 = {c1sq} must be an even integer")
-    return MukaiVector(r, c1, int(c1sq) // 2 - c2 + r)
+    return MukaiVector(r, c1, c1sq // 2 - c2 + r)
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ def twist_by_mf(ns: IntLattice, v: MukaiVector, m: int, f: LatVec) -> MukaiVecto
         raise InputError("twisting class must be isotropic: q(f,f) = 0")
     if not f.integral:
         raise InputError("twisting class must be integral")
-    k = pair(ns, v.l, f)
-    assert k.denominator == 1
-    w = MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * int(k))
+    w = MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * pair(ns, v.l, f))
     assert mukai_pairing(ns, w, w) == mukai_pairing(ns, v, v)
     return w
 
@@ -140,25 +136,21 @@ def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -
     """
     if norm(ns, f) != 0:
         raise InputError("twisting class must be isotropic: q(f,f) = 0")
-    if f.is_zero:
-        raise InputError("twisting class must be nonzero")
+    if f.is_zero or not f.integral:
+        raise InputError("twisting class must be a nonzero integral class")
     if v.r != w.r:
         raise MathCheckError(f"rank mismatch: {v.r} != {w.r}")
     if v.r < 1:
         raise InputError("normalization needs a positive rank")
     k = pair(ns, v.l, f)
-    assert k.denominator == 1
-    if gcd(v.r, int(k)) != 1:
-        raise MathCheckError(f"gcd(r, q(l,f)) = gcd({v.r}, {int(k)}) != 1")
+    if gcd(v.r, k) != 1:
+        raise MathCheckError(f"gcd(r, q(l,f)) = gcd({v.r}, {k}) != 1")
     diff = w.l - v.l
-    x = None
-    for a, b in zip(diff.coords, f.coords):
-        if b != 0:
-            x = a / b
-            break
-    if x is None or x.denominator != 1 or diff != int(x) * f:
+    # f is nonzero, so its first nonzero coordinate fixes the candidate multiple
+    x = next(Fraction(a, b) for a, b in zip(diff.coords, f.coords) if b != 0)
+    if x.denominator != 1 or diff != x * f:
         raise MathCheckError("difference of middle components is not an integer multiple of f")
-    x = int(x)
+    x = x.numerator
     if x % v.r:
         raise MathCheckError(f"fiber multiple {x} is not divisible by the rank {v.r}")
     if mukai_square(ns, w) != mukai_square(ns, v):

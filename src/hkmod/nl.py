@@ -62,9 +62,7 @@ def nef_isotropic_classes(e: int, d: int) -> NefIsotropicClasses:
         raise InputError("e must be positive and even")
     ns = EllipticNS(e, d)
     alpha = primitive_part(ns.lattice, vec((2 * d, -e)))
-    p = ns.q(alpha, ns.h)
-    assert p.denominator == 1
-    q_alpha_h = int(p)
+    q_alpha_h = ns.q(alpha, ns.h)
     assert ns.q(alpha) == 0
     assert q_alpha_h == d * e // gcd(2 * d, e)
     unique = q_alpha_h != d

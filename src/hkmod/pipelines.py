@@ -1,9 +1,9 @@
 """End-to-end pipelines combining vectors, walls and twists.
 
-A scenario bundles named lattices, vectors and parameters; running it
-dispatches to one of the named pipelines and returns a TheoremReport
-whose checks gate the verdict and whose data block carries everything
-that is merely reported.
+A scenario bundles named lattices and vectors; running it dispatches
+to one of the named pipelines and returns a TheoremReport whose checks
+gate the verdict and whose data block carries everything that is
+merely reported.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ def vbk3ell_pipeline(ns, v: MukaiVector, h: LatVec | None = None) -> TheoremRepo
     h_use = h if h is not None else ns.h
     num = numerics(lat, v)
     k = pair(lat, v.l, ns.f)
-    assert k.denominator == 1
-    k = int(k)
     checks = (
         Check(
             "square_at_least_rigid_bound",
@@ -149,14 +147,12 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
     if not h.integral:
         raise InputError("twisting class must be integral")
     q_h = norm(ns, h)
-    k = pair(ns, v.l, h)
-    assert k.denominator == 1
-    s_shift = n * int(k) + Fraction(v.r * n * n) * q_h / 2
+    s_shift = n * pair(ns, v.l, h) + Fraction(v.r * n * n * q_h, 2)
     if s_shift.denominator != 1:
         raise MathCheckError(
             f"twist shifts the last component by the non-integer {s_shift}"
         )
-    w = MukaiVector(v.r, v.l + (v.r * n) * h, v.s + int(s_shift))
+    w = MukaiVector(v.r, v.l + (v.r * n) * h, v.s + s_shift.numerator)
     assert mukai_square(ns, w) == mukai_square(ns, v)
     if w.l.is_zero:
         x, ray = 0, None
@@ -180,7 +176,6 @@ class Scenario:
 
     lattices: dict = field(default_factory=dict)
     vectors: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
     pipeline: str = ""
 
 
@@ -202,10 +197,7 @@ def scenario_from_json(data) -> Scenario:
             vectors[name] = mukai_from_json(entry)
         else:
             vectors[name] = latvec_from_json(entry)
-    parameters = dict(data.get("parameters") or {})
-    return Scenario(
-        lattices=lattices, vectors=vectors, parameters=parameters, pipeline=pipeline
-    )
+    return Scenario(lattices=lattices, vectors=vectors, pipeline=pipeline)
 
 
 def load_scenario(path) -> Scenario:

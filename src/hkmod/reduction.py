@@ -89,9 +89,7 @@ def _fiber_degree(ns: IntLattice, v: MukaiVector, f: LatVec) -> int:
         raise InputError("fiber class must be isotropic: q(f,f) = 0")
     if f.is_zero or not f.integral:
         raise InputError("fiber class must be a nonzero integral class")
-    k = pair(ns, v.l, f)
-    assert k.denominator == 1
-    return int(k)
+    return pair(ns, v.l, f)
 
 
 def rigid_vector(ns: IntLattice, v: MukaiVector, f: LatVec) -> MukaiVector:

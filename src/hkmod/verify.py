@@ -427,7 +427,7 @@ def _suite_reduction() -> TheoremReport:
             r = rng.randint(2, 5)
             l = vec((rng.randint(-4, 4), rng.randint(-4, 4)))
             v = MukaiVector(r, l, rng.randint(-4, 4))
-            k = int(pair(lat, l, vec((0, 1))))
+            k = pair(lat, l, vec((0, 1)))
             if gcd(r, k) != 1 or mukai_square(lat, v) < -2:
                 continue
             w = reduction.rigid_vector(lat, v, vec((0, 1)))
@@ -441,7 +441,7 @@ def _suite_reduction() -> TheoremReport:
         for _ in range(200):
             r = rng.randint(2, 5)
             w = MukaiVector(r, vec((rng.randint(1, 6), rng.randint(-4, 4))), rng.randint(-4, 4))
-            k = int(pair(lat, w.l, f))
+            k = pair(lat, w.l, f)
             r_b = rng.randint(1, r - 1)
             lo = None
             for deg in range(-6, 7):

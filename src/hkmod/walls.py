@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InputError
@@ -33,7 +34,7 @@ class EllipticNS:
         if self.d <= 0:
             raise InputError(f"fiber degree d must be positive, got {self.d}")
 
-    @property
+    @cached_property
     def lattice(self) -> IntLattice:
         return lattice(((self.e, self.d), (self.d, 0)), label="ns")
 
@@ -45,7 +46,7 @@ class EllipticNS:
     def f(self) -> LatVec:
         return vec((0, 1))
 
-    def q(self, v: LatVec, w: LatVec | None = None) -> Fraction:
+    def q(self, v: LatVec, w: LatVec | None = None) -> int | Fraction:
         return pair(self.lattice, v, w if w is not None else v)
 
     def to_json_dict(self) -> dict:
@@ -157,8 +158,8 @@ def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
     witnesses = []
     generic = True
     for wall in enumerate_wall_classes(ns, a):
-        ph = int(pair(lat, wall.lam, h))
-        pf = int(pair(lat, wall.lam, f))
+        ph = pair(lat, wall.lam, h)
+        pf = pair(lat, wall.lam, f)
         if ph == 0:
             generic = False
         sh = (ph > 0) - (ph < 0)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hkmod
 from hkmod.cli import main
 
 
@@ -140,6 +143,26 @@ def test_fujiki_output(capsys, files):
     assert json.loads(out) == {"value": 108, "matchings": 3, "n": 2, "c_x": 1}
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("reduce", [{"r_b": 1.5, "deg_b": 0}]),
+        ("fujiki", {"n": 2.7, "c_x": 1, "gram": [[6]]}),
+        ("fujiki", {"n": "abc", "c_x": 1, "gram": [[6]]}),
+        ("fujiki", {"kind": "Kum_n", "n": "abc", "gram": [[6]]}),
+    ],
+)
+def test_non_integer_scalars_are_input_errors(capsys, files, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "reduce":
+        argv = ["reduce", "--ns", files["ns"], "--v", files["v3"], "--steps", str(path)]
+    else:
+        argv = ["fujiki", "--setup", str(path), "--classes", files["fujiki_classes"]]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_nl_exit_codes(capsys):
     code, out, _ = run(
         capsys,
@@ -251,11 +274,15 @@ def test_argparse_usage_errors():
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same hkmod as this test, installed or not
+    src = str(Path(hkmod.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hkmod", "walls", "--e", "2", "--d", "3", "--a", "6"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "count: 2" in proc.stdout

@@ -20,6 +20,7 @@ from hkmod.lattice import (
     saturation_check,
     vec,
 )
+from hkmod.walls import EllipticNS
 
 HYP = lattice(((2, 3), (3, 0)))
 
@@ -37,6 +38,9 @@ def test_latvec_arithmetic():
     assert -u == vec((-1, -2))
     assert len(u) == 2
     assert not u.is_zero and vec((0, 0)).is_zero
+    assert Fraction(1, 2) * u == vec(("1/2", 1))
+    with pytest.raises(InputError):
+        1.5 * u
 
 
 def test_latvec_from_json_rationals():
@@ -72,6 +76,19 @@ def test_pair_and_norm():
     assert pair(HYP, vec((Fraction(1, 2), 0)), vec((1, 0))) == 1
     with pytest.raises(InputError):
         pair(HYP, vec((1, 0, 0)), vec((0, 1)))
+
+
+def test_pair_is_int_exactly_for_integral_vectors():
+    half = vec((Fraction(1, 2), 0))
+    assert type(vec((1, 2)).coords[0]) is int and type(half.coords[0]) is Fraction
+    for u in (vec((1, 0)), vec((0, 0)), half):
+        for v in (vec((2, -1)), vec((0, 0)), vec((1, "3/2"))):
+            assert (type(pair(HYP, u, v)) is int) == (u.integral and v.integral)
+
+
+def test_elliptic_lattice_is_cached():
+    ns = EllipticNS(4, 1)
+    assert ns.lattice is ns.lattice
 
 
 def test_divisibility_examples():
@@ -123,9 +140,12 @@ def test_basis_vector_and_json_roundtrip():
 
 
 coords = st.lists(st.integers(-30, 30), min_size=2, max_size=4)
+ratio = st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 6))
+mixed_coords = st.lists(st.one_of(st.integers(-30, 30), ratio), min_size=2, max_size=4)
 
 
-@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), coords, coords, coords)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
+       mixed_coords, mixed_coords, mixed_coords)
 def test_pair_is_symmetric_and_bilinear(a, b, c, xs, ys, zs):
     n = min(len(xs), len(ys), len(zs))
     gram = [[0] * n for _ in range(n)]
@@ -134,6 +154,8 @@ def test_pair_is_symmetric_and_bilinear(a, b, c, xs, ys, zs):
             gram[i][j] = gram[j][i] = (a * i + b * j + c) % 7 - 3
     lat = lattice(tuple(tuple(r) for r in gram))
     u, v, w = vec(xs[:n]), vec(ys[:n]), vec(zs[:n])
+    fu, fw = [Fraction(x) for x in xs[:n]], [Fraction(z) for z in zs[:n]]
+    assert pair(lat, u, w) == sum(fu[i] * gram[i][j] * fw[j] for i in range(n) for j in range(n))
     assert pair(lat, u, v) == pair(lat, v, u)
     assert pair(lat, u + v, w) == pair(lat, u, w) + pair(lat, v, w)
     assert pair(lat, a * u, w) == a * pair(lat, u, w)

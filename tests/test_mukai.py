@@ -107,12 +107,18 @@ def test_normalize_twist_failures():
     w3 = MukaiVector(2, vec((2, 0)), 0)
     with pytest.raises(MathCheckError, match="multiple of f"):
         normalize_twist(E4D1, v, w3, F)
+    # non-primitive fiber: the difference (0, 3) is not an integer multiple of (0, 2)
+    v3 = MukaiVector(3, H, 0)
+    with pytest.raises(MathCheckError, match="multiple of f"):
+        normalize_twist(E4D1, v3, MukaiVector(3, vec((1, 3)), 0), vec((0, 2)))
     # coprimality hypothesis: k = pair(l, f) = 2 shares a factor with r = 2
     v2 = MukaiVector(2, vec((2, 0)), 0)
     with pytest.raises(MathCheckError, match="gcd"):
         normalize_twist(E4D1, v2, v2, F)
     with pytest.raises(InputError):
         normalize_twist(E4D1, v, v, H)
+    with pytest.raises(InputError, match="integral"):
+        normalize_twist(E4D1, v, v, vec((0, Fraction(1, 2))))
 
 
 @given(st.integers(1, 5), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),

@@ -107,7 +107,6 @@ def test_scenario_parsing(tmp_path):
         "pipeline": "casoprim",
         "lattices": {"ns": {"e": 4, "d": 1}, "aux": {"gram": [[2, 0], [0, -2]]}},
         "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]},
-        "parameters": {"note": 1},
     }
     sc = scenario_from_json(raw)
     assert sc.pipeline == "casoprim"
@@ -115,7 +114,6 @@ def test_scenario_parsing(tmp_path):
     assert sc.lattices["aux"].rank == 2
     assert sc.vectors["v"] == V
     assert sc.vectors["h"] == vec((1, 5))
-    assert sc.parameters == {"note": 1}
     assert run_scenario(sc).verdict
 
     path = tmp_path / "scenario.json"

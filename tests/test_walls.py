@@ -157,6 +157,9 @@ def test_suitability_reports():
     assert rep3.suitable and rep3.generic and rep3.witnesses == ()
     with pytest.raises(InputError):
         suitability_for(ns, 12, vec((0, 1)))
+    # half-integral h: q((1, -3), h) = 1/2 is positive, not truncated to 0
+    rep4 = suitability_for(ns, 4, vec((Fraction(1, 2), 0)))
+    assert [w.lam.int_coords() for w in rep4.witnesses] == [(1, -4)]
 
 
 def test_same_chamber():
