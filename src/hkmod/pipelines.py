@@ -185,6 +185,9 @@ def scenario_from_json(data) -> Scenario:
     pipeline = data.get("pipeline")
     if not isinstance(pipeline, str) or not pipeline:
         raise InputError("scenario needs a pipeline name")
+    for key in ("lattices", "vectors"):
+        if not isinstance(data.get(key) or {}, dict):
+            raise InputError(f"scenario {key!r} must be a JSON object")
     lattices = {}
     for name, entry in (data.get("lattices") or {}).items():
         if isinstance(entry, dict) and "gram" in entry:

@@ -184,8 +184,10 @@ def _suite_fujiki() -> TheoremReport:
                 lat = lattice(((e, d), (d, 0)))
                 for n in (2, 3):
                     setup = fujiki.FujikiSetup(n=n, c_x=Fraction(n + 1), pairing=lat)
-                    lam = vec((rng.randint(-4, 4), rng.randint(-4, 4)))
-                    fujiki.fiber_restriction_integral(setup, lam, vec((1, 0)), vec((0, 1)))
+                    lam, h, f = vec((rng.randint(-4, 4), rng.randint(-4, 4))), vec((1, 0)), vec((0, 1))
+                    closed = fujiki.fiber_restriction_integral(setup, lam, h, f)
+                    if closed != fujiki.top_intersection(setup, [lam] + [h] * (n - 1) + [f] * n):
+                        return False, {"e": e, "d": d, "n": n, "closed": closed}
         return True
 
     def modular_scaling():
@@ -320,7 +322,8 @@ def _brute_walls(e: int, d: int, a: Fraction) -> list[tuple[int, int]]:
     out = []
     x = 1
     while x <= a:
-        for y in range(-10 * (abs(e) + 2 * d) * int(a) - 10, 10 * (abs(e) + 2 * d) * int(a) + 11):
+        # -a <= x*(e*x + 2*d*y) < 0 with x >= 1 forces -a - e*x <= 2*d*y < -e*x
+        for y in range((-a - e * x) // (2 * d) - 1, -((e * x) // (2 * d)) + 2):
             q = x * (e * x + 2 * d * y)
             if -a <= q < 0 and gcd(x, abs(y)) == 1:
                 out.append((x, y))
@@ -542,6 +545,19 @@ def _suite_nl() -> TheoremReport:
     return TheoremReport(theorem="nl", checks=tuple(checks))
 
 
+def _brute_potenza(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
+    out = []
+    r0 = 1
+    # an accepted r0 has r0^n = r*g1*g2 <= r*d1*d2
+    while r0**n <= r * d1 * d2:
+        g1, g2 = gcd(r0, d1), gcd(r0, d2)
+        if r0**n == r * g1 * g2 and r0 ** (n - 1) % (g1 * g2) == 0:
+            if gcd(r, a) == r0 ** (n - 1) // (g1 * g2):
+                out.append(r0)
+        r0 += 1
+    return out
+
+
 def _suite_hilb2() -> TheoremReport:
     rng = random.Random(_SEED + 4)
     checks: list[Check] = []
@@ -555,9 +571,11 @@ def _suite_hilb2() -> TheoremReport:
                     continue
                 for sign in ("+", "-"):
                     m0, s0 = hilb2.m0_s0(r0, e, sign)
-                    if (m0 + 1) != s0 * r0:
+                    shift = r0 - 1 if sign == "+" else r0 + 1
+                    exact_m0 = Fraction(e, 2 if r0 % 2 else 8) + Fraction(shift * shift, 4)
+                    h = hilb2.h_polarization(r0, i, m0, sign)
+                    if m0 != exact_m0 or (m0 + 1) != s0 * r0 or 2 * h.coords[2] != -i * shift:
                         return False, {"r0": r0, "e": e, "sign": sign}
-                    hilb2.h_polarization(r0, i, m0, sign)
                 count += 1
         return count > 0, {"cases": count}
 
@@ -622,16 +640,7 @@ def _suite_hilb2() -> TheoremReport:
             r = rng.randint(1, 30)
             a = rng.randint(1, 12)
             got = hilb2.potenza_solve(n, d1, d2, r, a)
-            want = []
-            for r0 in range(1, r * d1 * d2 + 2):
-                g1, g2 = gcd(r0, d1), gcd(r0, d2)
-                if r0**n != r * g1 * g2:
-                    continue
-                if r0 ** (n - 1) % (g1 * g2):
-                    continue
-                if gcd(r, a) != r0 ** (n - 1) // (g1 * g2):
-                    continue
-                want.append(r0)
+            want = _brute_potenza(n, d1, d2, r, a)
             if got != want:
                 return False, {"input": (n, d1, d2, r, a), "got": got, "want": want}
         return True

@@ -163,6 +163,27 @@ def test_non_integer_scalars_are_input_errors(capsys, files, tmp_path, command, 
     assert code == 2 and err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("fujiki", {"kind": 5, "gram": [[6]]}),
+        ("vbk3ell", {"pipeline": "vbk3ell", "lattices": [1], "vectors": {}}),
+        ("casoprim", {"pipeline": "casoprim", "lattices": {"ns": {"e": 4, "d": 1}},
+                      "vectors": [1]}),
+    ],
+)
+def test_malformed_structure_is_input_error(capsys, files, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "fujiki":
+        argv = ["fujiki", "--setup", str(path), "--classes", files["fujiki_classes"]]
+    else:
+        argv = [command, "--scenario", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error:") and out == ""
+    assert "Traceback" not in err
+
+
 def test_nl_exit_codes(capsys):
     code, out, _ = run(
         capsys,
