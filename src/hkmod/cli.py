@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
@@ -57,6 +56,8 @@ from .walls import (
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone  # only timestamped JSON needs it; keeps start-up lean
+
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

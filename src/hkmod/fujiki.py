@@ -10,13 +10,13 @@ counted exactly once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
 from .lattice import IntLattice, LatVec, pair
+from .record import Record, setfield
 
 # Normalized Fujiki constants of the known deformation types, keyed by
 # family name; each entry maps the half-dimension n to c_X.
@@ -63,19 +63,17 @@ def fujiki_constant(kind: str, n: int | None = None) -> Fraction:
     return FUJIKI_CONSTANTS[key](n_val)
 
 
-@dataclass(frozen=True)
-class FujikiSetup:
+class FujikiSetup(Record):
     """Evaluation context: half-dimension n, Fujiki constant, and the pairing lattice."""
 
-    n: int
-    c_x: Fraction
-    pairing: IntLattice
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, c_x: Fraction, pairing: IntLattice):
+        if n < 1:
             raise InputError("n must be positive")
-        if self.c_x <= 0:
+        if c_x <= 0:
             raise InputError("the Fujiki constant must be positive")
+        setfield(self, "n", n)
+        setfield(self, "c_x", c_x)
+        setfield(self, "pairing", pairing)
 
     @classmethod
     def for_kind(cls, kind: str, pairing: IntLattice, n: int | None = None) -> "FujikiSetup":
@@ -86,16 +84,14 @@ class FujikiSetup:
         return pair(self.pairing, v, w)
 
 
-@dataclass(frozen=True)
-class ModularClass:
+class ModularClass(Record):
     """Modularity data of a sheaf: the constant d_F and the rank."""
 
-    d_f: Fraction
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, d_f: Fraction, r: int):
+        if r < 1:
             raise InputError("rank must be positive")
+        setfield(self, "d_f", d_f)
+        setfield(self, "r", r)
 
 
 def double_factorial(m: int) -> int:

@@ -11,7 +11,6 @@ ambient data (h, f, divisibility i) identity by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -19,6 +18,7 @@ from .errors import InputError, MathCheckError, NoAdmissibleParameter
 from .fujiki import fujiki_constant, parse_kind
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
 from .nl import DEFAULT_SEARCH_CAP, buonacompt_bound, buonacompt_min_d, rigsuk_bound, rigsuk_min_d0
+from .record import Record, setfield
 from .report import Check, TheoremReport
 
 
@@ -91,14 +91,14 @@ def m0_s0(r0: int, e: int, sign: str = "+") -> tuple[int, int]:
     return int(m0), int(s0)
 
 
-@dataclass(frozen=True)
-class F2Invariants:
+class F2Invariants(Record):
     """Numerical invariants of the exterior-square sheaf of a rank-r0 input."""
 
-    rank: int
-    delta_coeff: int
-    d_mod: int
-    a_mod: int
+    def __init__(self, rank: int, delta_coeff: int, d_mod: int, a_mod: int):
+        setfield(self, "rank", rank)
+        setfield(self, "delta_coeff", delta_coeff)
+        setfield(self, "d_mod", d_mod)
+        setfield(self, "a_mod", a_mod)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,13 +141,13 @@ def h_polarization(r0: int, i: int, m0: int, sign: str = "+") -> LatVec:
     return vec((i, 0, int(last)))
 
 
-@dataclass(frozen=True)
-class Hilb2NS:
+class Hilb2NS(Record):
     """Rank-3 sublattice spanned by (mu_D, mu_C, delta-half)."""
 
-    m0: int
-    d0: int
-    lattice: IntLattice
+    def __init__(self, m0: int, d0: int, lattice: IntLattice):
+        setfield(self, "m0", m0)
+        setfield(self, "d0", d0)
+        setfield(self, "lattice", lattice)
 
     @property
     def mu_d(self) -> LatVec:
@@ -306,13 +306,13 @@ def semihom_twist_count(r: int) -> int:
     return r * r
 
 
-@dataclass(frozen=True)
-class McKaySquare:
+class McKaySquare(Record):
     """Ext dimensions in degrees 0..4 on the Hilbert square, plus whether
     the traceless degree-0 part vanishes (the simple-sheaf pattern)."""
 
-    dims: tuple[int, int, int, int, int]
-    end0_vanishing: bool
+    def __init__(self, dims: tuple[int, int, int, int, int], end0_vanishing: bool):
+        setfield(self, "dims", dims)
+        setfield(self, "end0_vanishing", end0_vanishing)
 
     def to_json_dict(self) -> dict:
         return {"dims": list(self.dims), "end0_vanishing": self.end0_vanishing}

@@ -45,7 +45,7 @@ def to_int(value, what: str = "value") -> int:
 
 
 def encode(value):
-    """Map a value (possibly containing Fractions, tuples, dataclass dumps) to JSON-ready data."""
+    """Map a value (Fractions, tuples, objects with a to_json_dict method) to JSON-ready data."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):

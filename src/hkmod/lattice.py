@@ -8,7 +8,6 @@ arbitrary-precision integers and fractions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -16,17 +15,25 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .jsonio import to_exact, to_int
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class LatVec:
+class LatVec(Record):
     """Vector with exact coordinates: ints where integral, Fractions otherwise. Build it with vec()."""
 
-    coords: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.coords, tuple) or not self.coords:
+    def __init__(self, coords: tuple[int | Fraction, ...]):
+        if not isinstance(coords, tuple) or not coords:
             raise InputError("coords must be a nonempty tuple")
+        setfield(self, "coords", coords)
+
+    # the record semantics, written out: vectors are compared and hashed in hot loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def integral(self) -> bool:
@@ -79,27 +86,33 @@ def latvec_from_json(data, rank: int | None = None) -> LatVec:
     return v
 
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(Record):
     """Finite-rank lattice with an integral symmetric Gram matrix."""
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    label: str = ""
-    nondegenerate: bool = field(default=False, compare=False)
+    _uncompared = ("nondegenerate",)
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(
+        self,
+        rank: int,
+        gram: tuple[tuple[int, ...], ...],
+        label: str = "",
+        nondegenerate: bool = False,
+    ):
+        if rank < 1:
             raise InputError("rank must be positive")
-        if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
-            raise InputError(f"gram must be {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if not isinstance(self.gram[i][j], int) or isinstance(self.gram[i][j], bool):
+        if len(gram) != rank or any(len(row) != rank for row in gram):
+            raise InputError(f"gram must be {rank}x{rank}")
+        for i in range(rank):
+            for j in range(rank):
+                if not isinstance(gram[i][j], int) or isinstance(gram[i][j], bool):
                     raise InputError("gram entries must be integers")
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise InputError("gram must be symmetric")
-        if self.nondegenerate and discriminant(self) == 0:
+        setfield(self, "rank", rank)
+        setfield(self, "gram", gram)
+        setfield(self, "label", label)
+        setfield(self, "nondegenerate", nondegenerate)
+        if nondegenerate and discriminant(self) == 0:
             raise InputError("lattice flagged nondegenerate has zero discriminant")
 
     def basis_vector(self, i: int) -> LatVec:

@@ -8,32 +8,30 @@ even one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MathCheckError
 from .jsonio import to_int
 from .lattice import IntLattice, LatVec, latvec_from_json, norm, pair
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    r: int
-    l: LatVec
-    s: int
-
-    def __post_init__(self):
-        if not isinstance(self.r, int) or isinstance(self.r, bool):
+class MukaiVector(Record):
+    def __init__(self, r: int, l: LatVec, s: int):
+        if not isinstance(r, int) or isinstance(r, bool):
             raise InputError("rank must be an integer")
-        if self.r < 0:
-            raise InputError(f"rank must be nonnegative, got {self.r}")
-        if not isinstance(self.l, LatVec):
+        if r < 0:
+            raise InputError(f"rank must be nonnegative, got {r}")
+        if not isinstance(l, LatVec):
             raise InputError("middle component must be a lattice vector")
-        if not self.l.integral:
+        if not l.integral:
             raise InputError("middle component must be integral")
-        if not isinstance(self.s, int) or isinstance(self.s, bool):
+        if not isinstance(s, int) or isinstance(s, bool):
             raise InputError("last component must be an integer")
+        setfield(self, "r", r)
+        setfield(self, "l", l)
+        setfield(self, "s", s)
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "l": self.l.to_json_dict(), "s": self.s}
@@ -78,15 +76,15 @@ def from_chern(ns: IntLattice, r: int, c1: LatVec, c2: int) -> MukaiVector:
     return MukaiVector(r, c1, c1sq // 2 - c2 + r)
 
 
-@dataclass(frozen=True)
-class MukaiNumerics:
+class MukaiNumerics(Record):
     """Derived quantities of a positive-rank vector: square, moduli
     half-dimension offset n, wall-control constant a, and delta."""
 
-    v_square: int
-    n_v: int
-    a_v: Fraction
-    delta: int
+    def __init__(self, v_square: int, n_v: int, a_v: Fraction, delta: int):
+        setfield(self, "v_square", v_square)
+        setfield(self, "n_v", n_v)
+        setfield(self, "a_v", a_v)
+        setfield(self, "delta", delta)
 
     @classmethod
     def from_square(cls, r: int, v_square: int) -> "MukaiNumerics":

@@ -8,7 +8,6 @@ prove the search empty, or stop at an explicit cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -20,22 +19,31 @@ from .errors import (
 )
 from .lattice import LatVec, primitive_part, vec
 from .mukai import MukaiNumerics
+from .record import Record, setfield
 from .walls import EllipticNS, enumerate_wall_classes
 
 DEFAULT_SEARCH_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class NefIsotropicClasses:
+class NefIsotropicClasses(Record):
     """The isotropic rays on the nef boundary: the fiber class and the
     opposite primitive isotropic class alpha'."""
 
-    rays: tuple[tuple[LatVec, int], ...]
-    alpha: LatVec
-    pairing_alpha_h: int
-    unique: bool
-    e_divides_d: bool
-    e_divides_2d: bool
+    def __init__(
+        self,
+        rays: tuple[tuple[LatVec, int], ...],
+        alpha: LatVec,
+        pairing_alpha_h: int,
+        unique: bool,
+        e_divides_d: bool,
+        e_divides_2d: bool,
+    ):
+        setfield(self, "rays", rays)
+        setfield(self, "alpha", alpha)
+        setfield(self, "pairing_alpha_h", pairing_alpha_h)
+        setfield(self, "unique", unique)
+        setfield(self, "e_divides_d", e_divides_d)
+        setfield(self, "e_divides_2d", e_divides_2d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,11 +85,11 @@ def nef_isotropic_classes(e: int, d: int) -> NefIsotropicClasses:
     )
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    reasons: tuple[str, ...]
-    details: dict = field(default_factory=dict)
+class Admissibility(Record):
+    def __init__(self, ok: bool, reasons: tuple[str, ...], details: dict | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "reasons", reasons)
+        setfield(self, "details", {} if details is None else details)
 
     def to_json_dict(self) -> dict:
         return {"ok": self.ok, "reasons": list(self.reasons), "details": self.details}

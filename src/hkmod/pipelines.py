@@ -8,7 +8,6 @@ merely reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +24,7 @@ from .lattice import (
     primitive_part,
 )
 from .mukai import MukaiVector, mukai_from_json, mukai_square, numerics
+from .record import Record, setfield
 from .report import Check, TheoremReport
 from .walls import (
     EllipticNS,
@@ -117,17 +117,19 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
     )
 
 
-@dataclass(frozen=True)
-class TwistResult:
+class TwistResult(Record):
     """Outcome of normalizing a twist: the twisted vector, its middle
     component split as x times a primitive ray, and the coprimality facts
     the downstream statements need."""
 
-    vector: MukaiVector
-    x: int
-    ray: LatVec | None
-    gcd_r_x: int
-    r_l_coprime: bool
+    def __init__(
+        self, vector: MukaiVector, x: int, ray: LatVec | None, gcd_r_x: int, r_l_coprime: bool
+    ):
+        setfield(self, "vector", vector)
+        setfield(self, "x", x)
+        setfield(self, "ray", ray)
+        setfield(self, "gcd_r_x", gcd_r_x)
+        setfield(self, "r_l_coprime", r_l_coprime)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,13 +172,15 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
     )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Named inputs for one pipeline run."""
 
-    lattices: dict = field(default_factory=dict)
-    vectors: dict = field(default_factory=dict)
-    pipeline: str = ""
+    def __init__(
+        self, lattices: dict | None = None, vectors: dict | None = None, pipeline: str = ""
+    ):
+        setfield(self, "lattices", {} if lattices is None else lattices)
+        setfield(self, "vectors", {} if vectors is None else vectors)
+        setfield(self, "pipeline", pipeline)
 
 
 def scenario_from_json(data) -> Scenario:

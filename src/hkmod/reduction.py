@@ -8,21 +8,21 @@ decreasing steps, never below the rigid bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError, MathCheckError
 from .lattice import IntLattice, LatVec, norm, pair
 from .mukai import MukaiVector, mukai_square
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class AtiyahResult:
+class AtiyahResult(Record):
     """Existence of a stable fiber bundle of coprime rank and degree; such
     a bundle is unique up to isomorphism whenever it exists."""
 
-    exists: bool
-    unique: bool
+    def __init__(self, exists: bool, unique: bool):
+        setfield(self, "exists", exists)
+        setfield(self, "unique", unique)
 
     def __bool__(self) -> bool:
         return self.exists
@@ -47,33 +47,35 @@ def bezout_r0_d0(r: int, k: int) -> tuple[int, int]:
     return r0, d0
 
 
-@dataclass(frozen=True)
-class ModificationStep:
+class ModificationStep(Record):
     """One elementary modification: a subsheaf of fiber rank r_b and degree deg_b."""
 
-    r_b: int
-    deg_b: int
-
-    def __post_init__(self):
-        if self.r_b < 1:
+    def __init__(self, r_b: int, deg_b: int):
+        if r_b < 1:
             raise InputError("fiber rank of a step must be positive")
+        setfield(self, "r_b", r_b)
+        setfield(self, "deg_b", deg_b)
 
     def to_json_dict(self) -> dict:
         return {"r_b": self.r_b, "deg_b": self.deg_b}
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    start: MukaiVector
-    final: MukaiVector
-    steps: tuple[ModificationStep, ...]
-    squares: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.squares) == len(self.steps) + 1
-        for a, b in zip(self.squares, self.squares[1:]):
+class ReductionTrace(Record):
+    def __init__(
+        self,
+        start: MukaiVector,
+        final: MukaiVector,
+        steps: tuple[ModificationStep, ...],
+        squares: tuple[int, ...],
+    ):
+        assert len(squares) == len(steps) + 1
+        for a, b in zip(squares, squares[1:]):
             assert b < a, "squares along a trace decrease strictly"
-        assert all(s >= -2 for s in self.squares)
+        assert all(s >= -2 for s in squares)
+        setfield(self, "start", start)
+        setfield(self, "final", final)
+        setfield(self, "steps", steps)
+        setfield(self, "squares", squares)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,10 +143,12 @@ def reduction_trace(
 ) -> ReductionTrace:
     """Chain strict modifications from w0, tracking the squares.
 
-    Refuses any step that would push the square below -2.
+    Refuses a start, or any step that would push the square, below -2.
     """
     current = w0
     squares = [mukai_square(ns, w0)]
+    if squares[0] < -2:
+        raise MathCheckError(f"square {squares[0]} is below the rigid bound -2")
     applied = []
     for step in steps:
         nxt = elementary_modification(ns, current, step, f, strict=True)
@@ -162,10 +166,10 @@ def reduction_trace(
     )
 
 
-@dataclass(frozen=True)
-class HomCountResult:
-    value: int
-    is_bezout_pair: bool
+class HomCountResult(Record):
+    def __init__(self, value: int, is_bezout_pair: bool):
+        setfield(self, "value", value)
+        setfield(self, "is_bezout_pair", is_bezout_pair)
 
 
 def hom_count_check(k: int, r: int, r0: int, d0: int) -> HomCountResult:

@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One named condition with the values it was decided on."""
 
-    name: str
-    passed: bool
-    data: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, data: dict | None = None):
+        setfield(self, "name", name)
+        setfield(self, "passed", passed)
+        setfield(self, "data", {} if data is None else data)
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "data": self.data}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Ordered checks plus reported (non-gating) values; the verdict is
     the conjunction of the checks alone."""
 
-    theorem: str
-    checks: tuple[Check, ...]
-    data: dict = field(default_factory=dict)
+    def __init__(self, theorem: str, checks: tuple[Check, ...], data: dict | None = None):
+        setfield(self, "theorem", theorem)
+        setfield(self, "checks", checks)
+        setfield(self, "data", {} if data is None else data)
 
     @property
     def verdict(self) -> bool:

@@ -9,7 +9,6 @@ run in deterministic name order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -26,14 +25,15 @@ from .lattice import (
     vec,
 )
 from .mukai import MukaiVector, from_chern, mukai_square, normalize_twist, numerics, twist_by_mf
+from .record import Record, setfield
 from .report import Check, TheoremReport
 
 _SEED = 20240817
 
 
-@dataclass(frozen=True)
-class VerifySummary:
-    suites: tuple[TheoremReport, ...]
+class VerifySummary(Record):
+    def __init__(self, suites: tuple[TheoremReport, ...]):
+        setfield(self, "suites", suites)
 
     @property
     def ok(self) -> bool:

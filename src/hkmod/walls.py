@@ -9,7 +9,6 @@ their signs against the two cone edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -17,22 +16,21 @@ from math import gcd
 from .errors import InputError
 from .jsonio import to_int, to_rational
 from .lattice import IntLattice, LatVec, lattice, norm, pair, primitive_part, vec
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class EllipticNS:
+class EllipticNS(Record):
     """Rank-2 lattice [[e, d], [d, 0]] with distinguished basis (h, f)."""
 
-    e: int
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.e, int) or isinstance(self.e, bool):
+    def __init__(self, e: int, d: int):
+        if not isinstance(e, int) or isinstance(e, bool):
             raise InputError("e must be an integer")
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
+        if not isinstance(d, int) or isinstance(d, bool):
             raise InputError("d must be an integer")
-        if self.d <= 0:
-            raise InputError(f"fiber degree d must be positive, got {self.d}")
+        if d <= 0:
+            raise InputError(f"fiber degree d must be positive, got {d}")
+        setfield(self, "e", e)
+        setfield(self, "d", d)
 
     @cached_property
     def lattice(self) -> IntLattice:
@@ -70,14 +68,14 @@ def as_elliptic(ns) -> EllipticNS:
     raise InputError(f"cannot interpret {type(ns).__name__} as an elliptic lattice")
 
 
-@dataclass(frozen=True)
-class WallClass:
+class WallClass(Record):
     """A primitive class lam = x*h + y*f with -a <= q(lam) < 0 and x >= 1."""
 
-    lam: LatVec
-    norm: int
-    pair_h: int
-    pair_f: int
+    def __init__(self, lam: LatVec, norm: int, pair_h: int, pair_f: int):
+        setfield(self, "lam", lam)
+        setfield(self, "norm", norm)
+        setfield(self, "pair_h", pair_h)
+        setfield(self, "pair_f", pair_f)
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,15 +86,13 @@ class WallClass:
         }
 
 
-@dataclass(frozen=True)
-class SuitabilityReport:
-    suitable: bool
-    generic: bool
-    witnesses: tuple[WallClass, ...]
-
-    def __post_init__(self):
-        if not self.suitable:
-            assert self.witnesses, "an unsuitable report must carry a witness"
+class SuitabilityReport(Record):
+    def __init__(self, suitable: bool, generic: bool, witnesses: tuple[WallClass, ...]):
+        if not suitable:
+            assert witnesses, "an unsuitable report must carry a witness"
+        setfield(self, "suitable", suitable)
+        setfield(self, "generic", generic)
+        setfield(self, "witnesses", witnesses)
 
     def to_json_dict(self) -> dict:
         return {

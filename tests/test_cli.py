@@ -294,16 +294,48 @@ def test_argparse_usage_errors():
         main([])
 
 
-def test_module_entry_point_subprocess():
-    # the child imports the same hkmod as this test, installed or not
+def run_child(*args):
+    """Run the interpreter with args; the child imports the same hkmod as this test."""
     src = str(Path(hkmod.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hkmod", "walls", "--e", "2", "--d", "3", "--a", "6"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = run_child("-m", "hkmod", "walls", "--e", "2", "--d", "3", "--a", "6")
     assert proc.returncode == 0
     assert "count: 2" in proc.stdout
+
+
+def test_reduce_refuses_start_below_rigid_bound(capsys, files, tmp_path):
+    ns = tmp_path / "ns2.json"
+    ns.write_text(json.dumps({"e": 2, "d": 1}))
+    v = tmp_path / "v_low.json"
+    v.write_text(json.dumps({"r": 2, "l": [1, 0], "s": 3}))  # square -10
+    steps = tmp_path / "no_steps.json"
+    steps.write_text("[]")
+    argv = ["reduce", "--ns", str(ns), "--v", str(v), "--steps", str(steps),
+            "--json", "--no-timestamp"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("refused:") and "below the rigid bound -2" in err
+    # the refusal must not rest on an assert that -O strips
+    proc = run_child("-O", "-m", "hkmod", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("refused:") and "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
+    proc = run_child(
+        "-c",
+        "import hkmod.cli, sys; "
+        "print(*(m in sys.modules for m in ('dataclasses', 'datetime', 'hkmod.verify')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]

@@ -106,6 +106,9 @@ def test_reduction_trace():
     assert data["steps"] == [{"r_b": 1, "deg_b": 0}, {"r_b": 2, "deg_b": 0}]
     with pytest.raises(MathCheckError, match="below the rigid bound -2"):
         reduction_trace(E4D1, w0, steps + [ModificationStep(1, 0)], F)
+    low = MukaiVector(2, vec((1, 0)), 3)  # square 2 - 2*2*3 = -10 on [[2, 1], [1, 0]]
+    with pytest.raises(MathCheckError, match="square -10 is below the rigid bound -2"):
+        reduction_trace(lattice([[2, 1], [1, 0]]), low, [], F)
 
 
 def test_hom_count_check():
