@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
 from .fujiki import FujikiSetup, double_factorial, top_intersection
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_SEARCH_CAP,
-        help="upper bound for parameter searches",
+        help="most candidates a parameter search may examine",
     )
 
     parser = argparse.ArgumentParser(

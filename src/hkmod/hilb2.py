@@ -12,7 +12,7 @@ ambient data (h, f, divisibility i) identity by identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
 from .fujiki import fujiki_constant, parse_kind
@@ -119,7 +119,6 @@ def f2_invariants(r0: int) -> F2Invariants:
     d_mod = 5 * comb(rank, 2)
     a_mod = Fraction(rank * rank * d_mod, 4)
     assert a_mod.denominator == 1
-    assert a_mod == Fraction(5, 8) * r0**6 * (rank - 1)
     return F2Invariants(
         rank=rank, delta_coeff=int(delta_coeff), d_mod=d_mod, a_mod=int(a_mod)
     )
@@ -238,16 +237,18 @@ def restrango_check(kind: str, r: int, m: int) -> bool:
 
 
 def _nth_root_floor(x: int, n: int) -> int:
+    """floor(x^(1/n)) by integer Newton steps from 2^ceil(bits/n) > x^(1/n),
+    which decrease strictly until they reach the floor root."""
     if x < 0:
         raise InputError("radicand must be nonnegative")
-    if n == 2:
-        return isqrt(x)
-    root = round(x ** (1.0 / n))
-    while root**n > x:
-        root -= 1
-    while (root + 1) ** n <= x:
-        root += 1
-    return root
+    if x < 2:
+        return x
+    root = 1 << -(-x.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * root + x // root ** (n - 1)) // n
+        if nxt >= root:
+            return root
+        root = nxt
 
 
 def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:

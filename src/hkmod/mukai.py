@@ -120,9 +120,7 @@ def twist_by_mf(ns: IntLattice, v: MukaiVector, m: int, f: LatVec) -> MukaiVecto
         raise InputError("twisting class must be isotropic: q(f,f) = 0")
     if not f.integral:
         raise InputError("twisting class must be integral")
-    w = MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * pair(ns, v.l, f))
-    assert mukai_pairing(ns, w, w) == mukai_pairing(ns, v, v)
-    return w
+    return MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * pair(ns, v.l, f))
 
 
 def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -> int:

@@ -20,7 +20,7 @@ from .errors import (
 from .lattice import LatVec, primitive_part, vec
 from .mukai import MukaiNumerics
 from .record import Record, setfield
-from .walls import EllipticNS, enumerate_wall_classes
+from .walls import EllipticNS
 
 DEFAULT_SEARCH_CAP = 10**7
 
@@ -71,15 +71,11 @@ def nef_isotropic_classes(e: int, d: int) -> NefIsotropicClasses:
     ns = EllipticNS(e, d)
     alpha = primitive_part(ns.lattice, vec((2 * d, -e)))
     q_alpha_h = ns.q(alpha, ns.h)
-    assert ns.q(alpha) == 0
-    assert q_alpha_h == d * e // gcd(2 * d, e)
-    unique = q_alpha_h != d
-    assert unique == (2 * d % e != 0)
     return NefIsotropicClasses(
         rays=((ns.f, d), (alpha, q_alpha_h)),
         alpha=alpha,
         pairing_alpha_h=q_alpha_h,
-        unique=unique,
+        unique=q_alpha_h != d,
         e_divides_d=d % e == 0,
         e_divides_2d=2 * d % e == 0,
     )
@@ -112,12 +108,7 @@ def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
         ("d exceeds (e+1)*a/2", d > bound),
         ("e does not divide d", d % e != 0),
     ]
-    out = _decide(conditions, {"e": e, "d": d, "a": num.a_v, "bound": bound})
-    if out.ok:
-        assert Fraction(2 * d, e + 1) > num.a_v
-        if num.a_v > 0:
-            assert not enumerate_wall_classes(EllipticNS(e, d), num.a_v)
-    return out
+    return _decide(conditions, {"e": e, "d": d, "a": num.a_v, "bound": bound})
 
 
 def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
@@ -175,8 +166,11 @@ def buonacompt_bound(r0: int, e: int) -> Fraction:
 def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Minimal d > bound with e not dividing 2d, d divisible by i.
 
-    Raises NoAdmissibleParameter when the congruence condition is empty
-    (exactly when e divides 2i), and SearchCapExceeded past the cap.
+    The candidates are the multiples of i above the bound. If two
+    consecutive ones both had e | 2d, then e | 2i, which is exactly the
+    provably empty case (NoAdmissibleParameter); so the answer is the
+    first or the second candidate. The cap counts candidates examined:
+    SearchCapExceeded means the answer needs more of them than the cap.
     """
     if i not in (1, 2):
         raise InputError(f"divisibility must be 1 or 2, got {i}")
@@ -195,15 +189,14 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
             f"e = {e} divides 2*d for every d divisible by {i}: the search is empty"
         )
     bound = buonacompt_bound(r0, e)
-    d = bound.numerator // bound.denominator + 1
-    if i == 2 and d % 2:
-        d += 1
-    step = 2 if i == 2 else 1
-    while d <= cap:
-        if (2 * d) % e != 0:
-            return d
-        d += step
-    raise SearchCapExceeded(f"no admissible d found up to the cap {cap}")
+    d = bound.numerator // bound.denominator // i * i + i
+    needed = 1 if (2 * d) % e else 2
+    if needed > cap:
+        raise SearchCapExceeded(
+            f"cap reached: {cap} candidate(s) above the bound {bound} examined, "
+            "none admissible"
+        )
+    return d if needed == 1 else d + i
 
 
 def rigsuk_bound(m0: int, r0: int) -> Fraction:

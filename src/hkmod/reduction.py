@@ -42,9 +42,7 @@ def bezout_r0_d0(r: int, k: int) -> tuple[int, int]:
     if gcd(r, k) != 1:
         raise MathCheckError(f"gcd({r}, {k}) != 1: no Bezout pair exists")
     r0 = pow(k, -1, r)
-    d0 = (k * r0 - 1) // r
-    assert 0 < r0 < r and k * r0 - r * d0 == 1
-    return r0, d0
+    return r0, (k * r0 - 1) // r
 
 
 class ModificationStep(Record):
@@ -104,9 +102,7 @@ def rigid_vector(ns: IntLattice, v: MukaiVector, f: LatVec) -> MukaiVector:
     k = _fiber_degree(ns, v, f)
     r0, d0 = bezout_r0_d0(v.r, k)
     n = vsq // 2 + 1
-    w = MukaiVector(v.r, v.l + (n * (v.r - r0)) * f, v.s + n * (k - d0))
-    assert mukai_square(ns, w) == -2
-    return w
+    return MukaiVector(v.r, v.l + (n * (v.r - r0)) * f, v.s + n * (k - d0))
 
 
 def elementary_modification(
@@ -133,9 +129,7 @@ def elementary_modification(
             f"step ({step.r_b}, {step.deg_b}) does not "
             f"{'strictly ' if strict else ''}decrease the slope {k}/{w.r}"
         )
-    out = MukaiVector(w.r, w.l - step.r_b * f, w.s - step.deg_b)
-    assert mukai_square(ns, out) == mukai_square(ns, w) - 2 * drop_half
-    return out
+    return MukaiVector(w.r, w.l - step.r_b * f, w.s - step.deg_b)
 
 
 def reduction_trace(
@@ -176,11 +170,8 @@ def hom_count_check(k: int, r: int, r0: int, d0: int) -> HomCountResult:
     """Value k*r0 - r*d0, flagged when (r0, d0) is the canonical Bezout pair."""
     if r < 2:
         raise InputError("rank must be at least 2")
-    value = k * r0 - r * d0
     canonical = gcd(r, k) == 1 and (r0, d0) == bezout_r0_d0(r, k)
-    if canonical:
-        assert value == 1
-    return HomCountResult(value=value, is_bezout_pair=canonical)
+    return HomCountResult(value=k * r0 - r * d0, is_bezout_pair=canonical)
 
 
 def nonlocally_free_dim_identity(
@@ -196,6 +187,4 @@ def nonlocally_free_dim_identity(
     shifted = MukaiVector(v.r, v.l, v.s + dlen)
     lhs = mukai_square(ns, shifted) + 2 + dlen * (v.r + 1)
     n = mukai_square(ns, v) // 2 + 1
-    rhs = 2 * n - (v.r - 1) * dlen
-    assert lhs == rhs
-    return lhs, rhs
+    return lhs, 2 * n - (v.r - 1) * dlen

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import fujiki, hilb2, nl, pipelines, reduction, walls
 from .errors import InputError
@@ -420,6 +420,9 @@ def _suite_reduction() -> TheoremReport:
                 r0, d0 = reduction.bezout_r0_d0(r, k)
                 if not (0 < r0 < r and k * r0 - r * d0 == 1):
                     return False, {"r": r, "k": k}
+                hom = reduction.hom_count_check(k, r, r0, d0)
+                if hom.value != 1 or not hom.is_bezout_pair:
+                    return False, {"r": r, "k": k}
         return True
 
     def rigid_random():
@@ -495,6 +498,9 @@ def _suite_nl() -> TheoremReport:
                 rep = nl.nef_isotropic_classes(e, d)
                 if rep.unique != (2 * d % e != 0):
                     return False, {"e": e, "d": d}
+                x, y = rep.alpha.coords
+                if x * (e * x + 2 * d * y) != 0 or rep.pairing_alpha_h != d * e // gcd(2 * d, e):
+                    return False, {"e": e, "d": d}
                 if rep.e_divides_d != (d % e == 0):
                     return False, {"e": e, "d": d}
         return True
@@ -532,6 +538,8 @@ def _suite_nl() -> TheoremReport:
         num = MukaiNumerics.from_square(2, 4)
         if not nl.nl_k3_admissible(4, 31, num).ok:
             return False, {"case": 31}
+        if walls.enumerate_wall_classes(walls.EllipticNS(4, 31), num.a_v):
+            return False, {"case": "31 walls"}
         if nl.nl_k3_admissible(4, 30, num).ok or nl.nl_k3_admissible(4, 32, num).ok:
             return False, {"case": "30/32"}
         if not nl.nl_hk_admissible(6, 74, 2).ok or nl.nl_hk_admissible(6, 72, 2).ok:
@@ -729,6 +737,8 @@ def _suite_pipelines() -> TheoremReport:
             if msq(lat, out.vector) != msq(lat, v):
                 return False, {}
             if out.ray is not None and out.vector.l != out.x * out.ray:
+                return False, {}
+            if out.r_l_coprime and out.x and out.gcd_r_x != 1:
                 return False, {}
         return True
 

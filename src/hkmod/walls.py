@@ -223,17 +223,17 @@ def has_minus_two_class(ns: EllipticNS) -> bool:
 def no_wall_threshold(e: int, a) -> int:
     """Smallest fiber degree guaranteeing an empty wall set at level a.
 
-    Returns floor(a*(1+e)/2) + 1; the emptiness is re-verified by
-    direct enumeration before returning.
+    Returns floor(a*(1+e)/2) + 1. A wall class x*h + y*f has 1 <= x <= a
+    and t = -(e*x + 2d*y) >= 1 with x*t <= a, so y <= -1 and
+    2d <= e*x + a/x <= (e+1)*a. The verify-all check
+    walls.threshold_guarantees_empty confirms the emptiness by enumeration.
     """
     a = to_rational(a)
     if a <= 0:
         raise InputError("level must be positive")
     if e < 0:
         raise InputError("needs e >= 0")
-    d = _floor(a * (1 + e) / 2) + 1
-    assert not enumerate_wall_classes(EllipticNS(e, d), a)
-    return d
+    return _floor(a * (1 + e) / 2) + 1
 
 
 def wall_ray(ns: EllipticNS, wall) -> LatVec:
@@ -246,6 +246,4 @@ def wall_ray(ns: EllipticNS, wall) -> LatVec:
     x, y = lam.int_coords()
     if x < 0 or (x == 0 and y < 0):
         x, y = -x, -y
-    ray = primitive_part(ns.lattice, vec((ns.d * x, -(ns.e * x + ns.d * y))))
-    assert ns.q(ray) > 0
-    return ray
+    return primitive_part(ns.lattice, vec((ns.d * x, -(ns.e * x + ns.d * y))))

@@ -221,8 +221,15 @@ def test_nl_search(capsys):
         "min_d0": 11,
         "min_d0_bound": 9,
     }
-    code, _, err = run(capsys, ["nl-search", "--r0", "2", "--e", "6", "--cap", "100"])
-    assert code == 3 and "error:" in err
+    # the first candidate above the bound, 15882616, has e | 2d
+    code, _, err = run(capsys, ["nl-search", "--r0", "7", "--e", "8", "--cap", "1"])
+    assert code == 3 and "error:" in err and "1 candidate(s)" in err
+    code, out, _ = run(capsys, ["nl-search", "--r0", "7", "--e", "8", "--cap", "2", "--json",
+                                "--no-timestamp"])
+    assert code == 0 and json.loads(out)["min_d"] == 15882617
+    code, out, _ = run(capsys, ["nl-search", "--r0", "8", "--e", "22", "--json",
+                                "--no-timestamp"])
+    assert code == 0 and json.loads(out)["min_d"] == 118702082
     code, _, err = run(capsys, ["nl-search", "--r0", "2", "--e", "8"])
     assert code == 1 and "refused:" in err
 
@@ -239,6 +246,13 @@ def test_unicita_exit_codes(capsys):
     assert json.loads(out)["verdict"] is False
     code, _, err = run(capsys, ["unicita", "--i", "3", "--r0", "2", "--e", "6"])
     assert code == 2 and "error:" in err
+    code, out, _ = run(capsys, ["unicita", "--i", "2", "--r0", "8", "--e", "22", "--json",
+                                "--no-timestamp"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["buonacompt_min_d"]["data"]["min_d"] == 118702082
+    code, _, err = run(capsys, ["unicita", "--i", "1", "--r0", "7", "--e", "8", "--cap", "1"])
+    assert code == 3 and "error:" in err
 
 
 def test_scenario_commands(capsys, files):
@@ -281,6 +295,23 @@ def test_verify_all(capsys):
     assert [s["theorem"] for s in payload["suites"]] == ["walls"]
     code, _, err = run(capsys, ["verify-all", "--filter", "nomatch"])
     assert code == 2 and "error:" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify-all"], "verify_all.txt"),
+        (["verify-all", "--json", "--no-timestamp"], "verify_all.json"),
+    ],
+)
+def test_verify_all_output_is_frozen(capsys, argv, golden):
+    # check names, order and pass-time data are part of the CLI contract
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_argparse_usage_errors():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hkmod.errors import InputError, MathCheckError
 from hkmod.hilb2 import (
+    _nth_root_floor,
     ambient_divisibility,
     divisibility_type,
     econ_check,
@@ -184,6 +185,23 @@ def test_potenza_solve_frozen():
         potenza_solve(2, 2, 3, 1, 1)  # d1 does not divide d2
     with pytest.raises(InputError):
         potenza_solve(2, 0, 1, 4, 2)
+
+
+def test_nth_root_floor_is_exact():
+    for n in range(1, 7):
+        root = 0
+        for x in range(0, 1500):
+            while (root + 1) ** n <= x:
+                root += 1
+            assert _nth_root_floor(x, n) == root, (x, n)
+    # beyond float range, and a radicand just above a perfect cube
+    for x in (10**400, 10**60 + 12345, 10**60 - 1):
+        r = _nth_root_floor(x, 3)
+        assert r**3 <= x < (r + 1) ** 3
+    assert _nth_root_floor(10**60 + 12345, 3) == 10**20
+    assert _nth_root_floor(10**400, 4) == 10**100
+    with pytest.raises(InputError):
+        _nth_root_floor(-1, 3)
 
 
 def test_resemibis_ranks():

@@ -97,11 +97,15 @@ def test_buonacompt_frozen():
     assert buonacompt_min_d(3, 8, 1) == 16403
     assert buonacompt_min_d(1, 4, 1) == 1
     assert buonacompt_min_d(4, 6, 2) == 134402
+    # the first candidate above the bound 118702080 answers
+    assert buonacompt_min_d(8, 22, 2, cap=1) == 118702082
+    # the first candidate 15882616 has e | 2d; the cap counts candidates
+    assert buonacompt_min_d(7, 8, 1, cap=2) == 15882617
 
 
 def test_buonacompt_refusals():
-    with pytest.raises(SearchCapExceeded):
-        buonacompt_min_d(2, 6, 2, cap=100)
+    with pytest.raises(SearchCapExceeded, match="1 candidate"):
+        buonacompt_min_d(7, 8, 1, cap=1)
     with pytest.raises(NoAdmissibleParameter):
         buonacompt_min_d(3, 2, 1)
     with pytest.raises(MathCheckError, match="parity"):
@@ -154,7 +158,7 @@ def test_rigsuk_minimality(m0, r0):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 40))
+@given(st.integers(1, 8), st.integers(0, 40))
 def test_buonacompt_minimality(r0, e_seed):
     i = 2 - r0 % 2
     # walk the seed to a value passing the congruence screen for this r0

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hkmod
-from hkmod import fujiki, verify, walls
+from hkmod import fujiki, hilb2, mukai, nl, pipelines, reduction, verify, walls
 from hkmod.errors import InputError
 from hkmod.verify import SUITES, verify_all
 
@@ -109,3 +109,105 @@ def test_fiber_check_catches_a_wrong_top_intersection_without_asserts():
     optimize, *failures = proc.stdout.split()
     assert optimize == "1"
     assert "fujiki.fiber_integral_closed_form" in failures
+
+
+def changed(record, **fields):
+    """A copy of a record with some fields replaced."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **fields})
+
+
+def bump_s(w):
+    """The same Mukai vector with s + 1: its square moves by -2r."""
+    return mukai.MukaiVector(w.r, w.l, w.s + 1)
+
+
+# (module verify calls the routine through, routine, wrong version, suite, check).
+# The library computes these answers without re-proving them; each mutation
+# gives one of them a wrong answer that only the named verify-all check sees.
+MUTATIONS = {
+    "isotropic_alpha_not_isotropic": (
+        nl, "nef_isotropic_classes",
+        lambda f: lambda e, d: changed(f(e, d), alpha=walls.EllipticNS(e, d).h),
+        "nl", "isotropic_ray_unique_iff_indivisible",
+    ),
+    "isotropic_pairing_off_by_one": (
+        nl, "nef_isotropic_classes",
+        lambda f: lambda e, d: changed(f(e, d), pairing_alpha_h=f(e, d).pairing_alpha_h + 1),
+        "nl", "isotropic_ray_unique_iff_indivisible",
+    ),
+    "isotropic_uniqueness_negated": (
+        nl, "nef_isotropic_classes",
+        lambda f: lambda e, d: changed(f(e, d), unique=not f(e, d).unique),
+        "nl", "isotropic_ray_unique_iff_indivisible",
+    ),
+    "k3_admissible_always": (
+        nl, "nl_k3_admissible",
+        lambda f: lambda e, d, num: nl.Admissibility(True, ()),
+        "nl", "admissibility_examples",
+    ),
+    "twist_changes_square": (
+        verify, "twist_by_mf",
+        lambda f: lambda ns, v, m, fib: bump_s(f(ns, v, m, fib)),
+        "mukai", "twist_preserves_square",
+    ),
+    "threshold_one_too_low": (
+        walls, "no_wall_threshold",
+        lambda f: lambda e, a: f(e, a) - 1,
+        "walls", "threshold_guarantees_empty",
+    ),
+    "ray_is_the_wall": (
+        walls, "wall_ray",
+        lambda f: lambda ns, wall: wall.lam,
+        "walls", "rays_orthogonal_positive_primitive",
+    ),
+    "bezout_d0_off_by_one": (
+        reduction, "bezout_r0_d0",
+        lambda f: lambda r, k: (f(r, k)[0], f(r, k)[1] + 1),
+        "reduction", "bezout_pair_sweep",
+    ),
+    "hom_count_off_by_one": (
+        reduction, "hom_count_check",
+        lambda f: lambda k, r, r0, d0: changed(f(k, r, r0, d0), value=f(k, r, r0, d0).value + 1),
+        "reduction", "bezout_pair_sweep",
+    ),
+    "rigid_vector_not_rigid": (
+        reduction, "rigid_vector",
+        lambda f: lambda ns, v, fib: bump_s(f(ns, v, fib)),
+        "reduction", "rigid_vector_square_minus_two",
+    ),
+    "modification_wrong_drop": (
+        reduction, "elementary_modification",
+        lambda f: lambda ns, w, step, fib, strict=True: bump_s(f(ns, w, step, fib, strict)),
+        "reduction", "modification_drop_law",
+    ),
+    "dimension_sides_differ": (
+        reduction, "nonlocally_free_dim_identity",
+        lambda f: lambda ns, v, dlen: (f(ns, v, dlen)[0], f(ns, v, dlen)[1] + 1),
+        "reduction", "nonlocally_free_dimension_identity",
+    ),
+    "f2_a_mod_off_by_one": (
+        hilb2, "f2_invariants",
+        lambda f: lambda r0: changed(f(r0), a_mod=f(r0).a_mod + 1),
+        "hilb2", "exterior_square_invariants_closed_form",
+    ),
+    "multacca_changes_square": (
+        pipelines, "multacca_normalize",
+        lambda f: lambda ns, v, h, n: changed(f(ns, v, h, n), vector=bump_s(f(ns, v, h, n).vector)),
+        "pipelines", "twist_normalization_squares",
+    ),
+    "multacca_gcd_not_one": (
+        pipelines, "multacca_normalize",
+        lambda f: lambda ns, v, h, n: changed(f(ns, v, h, n), gcd_r_x=f(ns, v, h, n).gcd_r_x + 1),
+        "pipelines", "twist_normalization_squares",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_identity_check_catches_a_wrong_answer(monkeypatch, mutation):
+    module, name, wrong, suite, check = MUTATIONS[mutation]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    (report,) = verify_all(suite).suites
+    failed = {c.name: c.data for c in report.checks if not c.passed}
+    assert check in failed
+    assert "error" not in failed[check]  # refuted by a comparison, not by a crash
