@@ -133,11 +133,7 @@ def cmd_fujiki(args) -> int:
     else:
         if n is None or "c_x" not in setup_data:
             raise InputError("setup needs 'kind' or both 'n' and 'c_x'")
-        setup = FujikiSetup(
-            n=n,
-            c_x=to_rational(setup_data["c_x"]),
-            pairing=pairing,
-        )
+        setup = FujikiSetup(n=n, c_x=setup_data["c_x"], pairing=pairing)
     classes_data = load_json_file(args.classes)
     if not isinstance(classes_data, list):
         raise InputError("classes must be a JSON array of vectors")

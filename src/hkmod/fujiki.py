@@ -15,6 +15,7 @@ from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
+from .jsonio import to_rational
 from .lattice import IntLattice, LatVec, pair
 from .record import Record, setfield
 
@@ -69,6 +70,7 @@ class FujikiSetup(Record):
     def __init__(self, n: int, c_x: Fraction, pairing: IntLattice):
         if n < 1:
             raise InputError("n must be positive")
+        c_x = to_rational(c_x)
         if c_x <= 0:
             raise InputError("the Fujiki constant must be positive")
         setfield(self, "n", n)
@@ -90,7 +92,7 @@ class ModularClass(Record):
     def __init__(self, d_f: Fraction, r: int):
         if r < 1:
             raise InputError("rank must be positive")
-        setfield(self, "d_f", d_f)
+        setfield(self, "d_f", to_rational(d_f))
         setfield(self, "r", r)
 
 
@@ -150,7 +152,7 @@ def modular_delta_integral(setup: FujikiSetup, mc: ModularClass, alphas: Sequenc
     """Integral of the discriminant of a modular sheaf against 2n-2 classes."""
     if len(alphas) != 2 * setup.n - 2:
         raise InputError(f"expected {2 * setup.n - 2} classes, got {len(alphas)}")
-    return Fraction(mc.d_f) * matchings_sum(setup.q, alphas)
+    return mc.d_f * matchings_sum(setup.q, alphas)
 
 
 def lambda_ef(r_e: int, c1_e: LatVec, r_f: int, c1_f: LatVec) -> LatVec:
@@ -177,8 +179,8 @@ def propsemi_bound_check(setup: FujikiSetup, r: int, d_f, lambda_norm) -> bool:
     """True iff lambda's norm lies in [-r^2*d_F/(4*c_X), 0]."""
     if r < 1:
         raise InputError("rank must be positive")
-    lo = -Fraction(r * r) * Fraction(d_f) / (4 * setup.c_x)
-    return lo <= Fraction(lambda_norm) <= 0
+    lo = -r * r * to_rational(d_f) / (4 * setup.c_x)
+    return lo <= to_rational(lambda_norm) <= 0
 
 
 def discriminant_sum_identity(
@@ -201,7 +203,7 @@ def discriminant_sum_identity(
     if r_e < 1 or r_g < 1:
         raise InputError("ranks must be positive")
     r_f = r_e + r_g
-    scale = double_factorial(2 * setup.n - 3) * Fraction(q_h) ** (setup.n - 1)
-    lhs = r_f * r_g * Fraction(int_delta_e) + r_f * r_e * Fraction(int_delta_g)
-    rhs = (r_e * r_g * Fraction(d_f) + setup.c_x * Fraction(lambda_norm)) * scale
+    scale = double_factorial(2 * setup.n - 3) * to_rational(q_h) ** (setup.n - 1)
+    lhs = r_f * r_g * to_rational(int_delta_e) + r_f * r_e * to_rational(int_delta_g)
+    rhs = (r_e * r_g * to_rational(d_f) + setup.c_x * to_rational(lambda_norm)) * scale
     return lhs, rhs

@@ -100,14 +100,6 @@ class F2Invariants(Record):
         setfield(self, "d_mod", d_mod)
         setfield(self, "a_mod", a_mod)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "delta_coeff": self.delta_coeff,
-            "d_mod": self.d_mod,
-            "a_mod": self.a_mod,
-        }
-
 
 def f2_invariants(r0: int) -> F2Invariants:
     """rank r0^2, discriminant coefficient r0^2(r0^2-1)/12, modularity
@@ -236,43 +228,22 @@ def restrango_check(kind: str, r: int, m: int) -> bool:
     raise InputError(f"unsupported deformation type {kind!r}")
 
 
-def _nth_root_floor(x: int, n: int) -> int:
-    """floor(x^(1/n)) by integer Newton steps from 2^ceil(bits/n) > x^(1/n),
-    which decrease strictly until they reach the floor root."""
-    if x < 0:
-        raise InputError("radicand must be nonnegative")
-    if x < 2:
-        return x
-    root = 1 << -(-x.bit_length() // n)
-    while True:
-        nxt = ((n - 1) * root + x // root ** (n - 1)) // n
-        if nxt >= root:
-            return root
-        root = nxt
-
-
 def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
     """All r0 >= 1 with r0^n = r*g1*g2, g1*g2 | r0^(n-1), gcd(r, a) =
-    r0^(n-1)/(g1*g2), where g1 = gcd(r0, d1) and g2 = gcd(r0, d2)."""
+    r0^(n-1)/(g1*g2), where g1 = gcd(r0, d1) and g2 = gcd(r0, d2).
+
+    The first condition makes r0^(n-1)/(g1*g2) equal r/r0, so the third
+    leaves r0 = r/gcd(r, a) as the only candidate; for it the first
+    condition implies the other two.
+    """
     if n < 1:
         raise InputError("n must be positive")
     if d1 < 1 or d2 < 1 or r < 1 or a < 1:
         raise InputError("d1, d2, r, a must be positive")
     if d2 % d1:
         raise InputError(f"d1 = {d1} must divide d2 = {d2}")
-    out = []
-    g_ra = gcd(r, a)
-    for r0 in range(1, _nth_root_floor(r * d1 * d2, n) + 1):
-        g1 = gcd(r0, d1)
-        g2 = gcd(r0, d2)
-        if r0**n != r * g1 * g2:
-            continue
-        if r0 ** (n - 1) % (g1 * g2):
-            continue
-        if g_ra != r0 ** (n - 1) // (g1 * g2):
-            continue
-        out.append(r0)
-    return out
+    r0 = r // gcd(r, a)
+    return [r0] if r0**n == r * gcd(r0, d1) * gcd(r0, d2) else []
 
 
 def resemibis_ranks(kind: str, n: int | None = None, r_max: int | None = None) -> list[int]:
@@ -314,9 +285,6 @@ class McKaySquare(Record):
     def __init__(self, dims: tuple[int, int, int, int, int], end0_vanishing: bool):
         setfield(self, "dims", dims)
         setfield(self, "end0_vanishing", end0_vanishing)
-
-    def to_json_dict(self) -> dict:
-        return {"dims": list(self.dims), "end0_vanishing": self.end0_vanishing}
 
 
 def mckay_ext_dims(ext_dims) -> McKaySquare:

@@ -18,7 +18,9 @@ def to_rational(value) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a 'p/q' string."""
     if isinstance(value, bool):
         raise InputError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -89,15 +89,7 @@ def latvec_from_json(data, rank: int | None = None) -> LatVec:
 class IntLattice(Record):
     """Finite-rank lattice with an integral symmetric Gram matrix."""
 
-    _uncompared = ("nondegenerate",)
-
-    def __init__(
-        self,
-        rank: int,
-        gram: tuple[tuple[int, ...], ...],
-        label: str = "",
-        nondegenerate: bool = False,
-    ):
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...], label: str = ""):
         if rank < 1:
             raise InputError("rank must be positive")
         if len(gram) != rank or any(len(row) != rank for row in gram):
@@ -111,20 +103,14 @@ class IntLattice(Record):
         setfield(self, "rank", rank)
         setfield(self, "gram", gram)
         setfield(self, "label", label)
-        setfield(self, "nondegenerate", nondegenerate)
-        if nondegenerate and discriminant(self) == 0:
-            raise InputError("lattice flagged nondegenerate has zero discriminant")
 
     def basis_vector(self, i: int) -> LatVec:
         return vec(1 if j == i else 0 for j in range(self.rank))
 
-    def to_json_dict(self):
-        return {"rank": self.rank, "gram": [list(row) for row in self.gram], "label": self.label}
 
-
-def lattice(gram: Sequence[Sequence[int]], label: str = "", nondegenerate: bool = False) -> IntLattice:
+def lattice(gram: Sequence[Sequence[int]], label: str = "") -> IntLattice:
     rows = tuple(tuple(to_int(x, "gram entry") for x in row) for row in gram)
-    return IntLattice(rank=len(rows), gram=rows, label=label, nondegenerate=nondegenerate)
+    return IntLattice(rank=len(rows), gram=rows, label=label)
 
 
 def lattice_from_json(data) -> IntLattice:

@@ -33,9 +33,6 @@ class MukaiVector(Record):
         setfield(self, "l", l)
         setfield(self, "s", s)
 
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "l": self.l.to_json_dict(), "s": self.s}
-
 
 def mukai_from_json(data, rank: int | None = None) -> MukaiVector:
     if not isinstance(data, dict):

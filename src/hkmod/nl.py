@@ -17,6 +17,7 @@ from .errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
+from .jsonio import to_rational
 from .lattice import LatVec, primitive_part, vec
 from .mukai import MukaiNumerics
 from .record import Record, setfield
@@ -87,9 +88,6 @@ class Admissibility(Record):
         setfield(self, "reasons", reasons)
         setfield(self, "details", {} if details is None else details)
 
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "reasons": list(self.reasons), "details": self.details}
-
 
 def _decide(conditions, details) -> Admissibility:
     reasons = tuple(name for name, holds in conditions if not holds)
@@ -140,7 +138,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
         raise InputError(f"divisibility {i} must divide d = {d}")
     if m < 1:
         raise InputError("multiplier must be positive")
-    a0 = Fraction(a0)
+    a0 = to_rational(a0)
     if a0 <= 0:
         raise InputError("level must be positive")
     bound = max(a0 * (e + 1) / 2, Fraction(10 * (e + 1)))

@@ -131,15 +131,6 @@ class TwistResult(Record):
         setfield(self, "gcd_r_x", gcd_r_x)
         setfield(self, "r_l_coprime", r_l_coprime)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vector": self.vector.to_json_dict(),
-            "x": self.x,
-            "ray": self.ray.to_json_dict() if self.ray is not None else None,
-            "gcd_r_x": self.gcd_r_x,
-            "r_l_coprime": self.r_l_coprime,
-        }
-
 
 def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> TwistResult:
     """Twist v by the n-th power of the line bundle with class h and split

@@ -3,9 +3,14 @@
 A record class writes its own __init__, which validates the arguments
 and stores each one with setfield, as a frozen dataclass's __init__
 does. The parameters of that __init__ are the record's fields, in order.
-From them the base class derives equality (same class, equal compared
-fields), the hash of the tuple of compared fields, a Name(field=value,
-...) repr, __match_args__, and AttributeError on assignment or deletion.
+From them the base class derives equality (same class, equal fields),
+the hash of the tuple of fields, a Name(field=value, ...) repr,
+__match_args__, AttributeError on assignment or deletion, and
+to_json_dict(): the fields in order, with tuples as lists and nested
+records as their own dicts. Five records override to_json_dict because
+their JSON is not their fields: LatVec (a bare list), WallClass (key
+"lambda"), NefIsotropicClasses (ray objects), TheoremReport (a derived
+verdict) and VerifySummary (derived ok and failures).
 Unlike @dataclass it generates no code, so importing hkmod neither
 builds methods nor imports dataclasses, inspect and ast.
 """
@@ -20,14 +25,11 @@ setfield = object.__setattr__  # bypasses Record.__setattr__; for use in __init_
 class Record:
     """Base class of hkmod's immutable values; see the module docstring."""
 
-    _uncompared: tuple[str, ...] = ()  # fields left out of == and hash, kept in repr
-
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
-        compared = [name for name in cls._fields if name not in cls._uncompared]
-        get = attrgetter(*compared)
-        cls._key = staticmethod(get if len(compared) > 1 else lambda obj: (get(obj),))
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -36,6 +38,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._key(self))
+
+    def to_json_dict(self):
+        return {name: _plain(getattr(self, name)) for name in self._fields}
 
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -46,3 +51,12 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _plain(value):
+    """A field value as to_json_dict reports it; Fractions and dicts pass through unchanged."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, Record):
+        return value.to_json_dict()
+    return value

@@ -54,9 +54,6 @@ class ModificationStep(Record):
         setfield(self, "r_b", r_b)
         setfield(self, "deg_b", deg_b)
 
-    def to_json_dict(self) -> dict:
-        return {"r_b": self.r_b, "deg_b": self.deg_b}
-
 
 class ReductionTrace(Record):
     def __init__(
@@ -74,14 +71,6 @@ class ReductionTrace(Record):
         setfield(self, "final", final)
         setfield(self, "steps", steps)
         setfield(self, "squares", squares)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "start": self.start.to_json_dict(),
-            "final": self.final.to_json_dict(),
-            "steps": [s.to_json_dict() for s in self.steps],
-            "squares": list(self.squares),
-        }
 
 
 def _fiber_degree(ns: IntLattice, v: MukaiVector, f: LatVec) -> int:

@@ -13,9 +13,6 @@ class Check(Record):
         setfield(self, "passed", passed)
         setfield(self, "data", {} if data is None else data)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "data": self.data}
-
 
 class TheoremReport(Record):
     """Ordered checks plus reported (non-gating) values; the verdict is

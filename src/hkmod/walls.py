@@ -47,9 +47,6 @@ class EllipticNS(Record):
     def q(self, v: LatVec, w: LatVec | None = None) -> int | Fraction:
         return pair(self.lattice, v, w if w is not None else v)
 
-    def to_json_dict(self) -> dict:
-        return {"e": self.e, "d": self.d}
-
 
 def elliptic_from_json(data) -> EllipticNS:
     if isinstance(data, dict) and "e" in data and "d" in data:
@@ -93,13 +90,6 @@ class SuitabilityReport(Record):
         setfield(self, "suitable", suitable)
         setfield(self, "generic", generic)
         setfield(self, "witnesses", witnesses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suitable": self.suitable,
-            "generic": self.generic,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-        }
 
 
 def _ceil(x: Fraction) -> int:

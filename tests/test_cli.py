@@ -314,6 +314,25 @@ def test_verify_all_output_is_frozen(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (["reduce", "--ns", "ns", "--v", "v3", "--steps", "steps"], 0, "reduce.txt"),
+        (["rigid", "--ns", "ns", "--v", "v"], 0, "rigid.txt"),
+        (["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability"], 1,
+         "walls_suitability.txt"),
+        (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, "unicita.txt"),
+        (["vbk3ell", "--scenario", "scenario_vb"], 0, "vbk3ell.txt"),
+        (["casoprim", "--scenario", "scenario_cp"], 0, "casoprim.txt"),
+    ],
+)
+def test_human_output_is_frozen(capsys, files, argv, code, golden):
+    # the human form prints keys in record field order, which canonical JSON sorts away
+    got, out, _ = run(capsys, [files.get(a, a) for a in argv])
+    assert got == code
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["walls"])

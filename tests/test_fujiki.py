@@ -197,3 +197,32 @@ def test_top_power_closed_form(n, x, y, c):
     got = top_intersection(setup, [h] * (2 * n))
     q = setup.q(h, h)
     assert got == c * double_factorial(2 * n - 1) * q**n
+
+
+SETUP = setup_for(((6, 1), (1, 0)), 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: FujikiSetup(n=2, c_x=x, pairing=ELL6),
+        lambda x: ModularClass(d_f=x, r=2),
+        lambda x: propsemi_bound_check(SETUP, 2, x, -1),
+        lambda x: propsemi_bound_check(SETUP, 2, 30, x),
+        lambda x: discriminant_sum_identity(SETUP, x, 1, 2, 1, 2, 30, -1),
+        lambda x: discriminant_sum_identity(SETUP, 6, 1, 2, 1, x, 30, -1),
+        lambda x: discriminant_sum_identity(SETUP, 6, 1, 2, 1, 2, x, -1),
+    ],
+    ids=["c_x", "d_f", "propsemi_d_f", "propsemi_norm", "identity_q_h", "identity_delta_g",
+         "identity_d_f"],
+)
+@pytest.mark.parametrize("bad", [0.5, "abc"])
+def test_rational_arguments_must_be_exact(call, bad):
+    with pytest.raises(InputError):
+        call(bad)
+
+
+def test_rational_arguments_accept_ints_and_strings():
+    assert FujikiSetup(n=2, c_x="3/2", pairing=ELL6).c_x == Fraction(3, 2)
+    assert ModularClass(d_f=30, r=2).d_f == 30
+    assert propsemi_bound_check(SETUP, 2, "30", "-1/2")

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkmod import verify
 from hkmod.errors import InputError, MathCheckError
 from hkmod.hilb2 import (
-    _nth_root_floor,
     ambient_divisibility,
     divisibility_type,
     econ_check,
@@ -187,21 +188,21 @@ def test_potenza_solve_frozen():
         potenza_solve(2, 0, 1, 4, 2)
 
 
-def test_nth_root_floor_is_exact():
-    for n in range(1, 7):
-        root = 0
-        for x in range(0, 1500):
-            while (root + 1) ** n <= x:
-                root += 1
-            assert _nth_root_floor(x, n) == root, (x, n)
-    # beyond float range, and a radicand just above a perfect cube
-    for x in (10**400, 10**60 + 12345, 10**60 - 1):
-        r = _nth_root_floor(x, 3)
-        assert r**3 <= x < (r + 1) ** 3
-    assert _nth_root_floor(10**60 + 12345, 3) == 10**20
-    assert _nth_root_floor(10**400, 4) == 10**100
-    with pytest.raises(InputError):
-        _nth_root_floor(-1, 3)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 30), st.integers(1, 6), st.integers(1, 200),
+       st.integers(1, 200), st.booleans())
+def test_potenza_solve_matches_scan(n, d1, k, r, a, construct):
+    d2 = k * d1
+    r0 = r
+    g = gcd(r0, d1) * gcd(r0, d2)
+    solvable = construct and r0 ** (n - 1) % g == 0
+    if solvable:  # read r as the root r0 and build the r, a it solves
+        r = r0**n // g
+        a = r // r0
+    got = potenza_solve(n, d1, d2, r, a)
+    assert got == verify._brute_potenza(n, d1, d2, r, a)
+    if solvable:
+        assert got == [r0]
 
 
 def test_resemibis_ranks():

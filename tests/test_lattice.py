@@ -60,8 +60,6 @@ def test_lattice_validation():
         lattice(((1, 2),))  # not square
     with pytest.raises(InputError):
         lattice(((Fraction(1, 2),),))  # not integral
-    with pytest.raises(InputError):
-        lattice(((0, 0), (0, 0)), nondegenerate=True)
     lat = lattice_from_json({"gram": [[2, 3], [3, 0]], "label": "hyp"})
     assert lat.gram == ((2, 3), (3, 0)) and lat.label == "hyp"
     with pytest.raises(InputError):

@@ -181,3 +181,10 @@ def test_buonacompt_minimality(r0, e_seed):
     for t in range(start, d):
         if t % i == 0:
             assert (2 * t) % e == 0
+
+
+@pytest.mark.parametrize("bad", [0.5, "abc"])
+def test_propriostab_level_must_be_exact(bad):
+    with pytest.raises(InputError):
+        propriostab_admissible(6, 422, 2, bad, 2)
+    assert propriostab_admissible(6, 422, 2, "120", 2).ok

@@ -1,7 +1,7 @@
 """hkmod's record classes behave like the frozen dataclasses they replace.
 
 Each class is checked against a twin built with dataclasses.make_dataclass
-from the field list (names, defaults, compare flags) the class had as a
+from the field list (names and defaults) the class had as a
 frozen dataclass; the twin stores the same arguments without validating
 them. The package itself never imports dataclasses.
 """
@@ -33,9 +33,9 @@ REPORT = report.TheoremReport("t", (CHECK,))
 SPECS = {
     lattice.LatVec: (["coords"], [(1, Fraction(1, 2))], [(1, 2)]),
     lattice.IntLattice: (
-        ["rank", "gram", ("label", ""), ("nondegenerate", field(default=False, compare=False))],
-        [2, ((2, 1), (1, 0)), "ns", True],
-        [2, ((2, 1), (1, 0)), "other", True],
+        ["rank", "gram", ("label", "")],
+        [2, ((2, 1), (1, 0)), "ns"],
+        [2, ((2, 1), (1, 0)), "other"],
     ),
     mukai.MukaiVector: (["r", "l", "s"], [2, V, 0], [2, V, 1]),
     mukai.MukaiNumerics: (
@@ -97,6 +97,65 @@ SPECS = {
     verify.VerifySummary: (["suites"], [(REPORT,)], [()]),
 }
 
+
+# to_json_dict() of each record that had a hand-written one before Record derived it from
+# the fields, written from that code. repr pins key order and scalar types as well.
+PINNED_JSON = {
+    lattice.LatVec: [1, Fraction(1, 2)],
+    lattice.IntLattice: {"rank": 2, "gram": [[2, 1], [1, 0]], "label": "ns"},
+    mukai.MukaiVector: {"r": 2, "l": [1, 0], "s": 0},
+    walls.EllipticNS: {"e": 2, "d": 3},
+    walls.WallClass: {"lambda": [1, 0], "norm": -4, "pair_h": -1, "pair_f": 3},
+    walls.SuitabilityReport: {
+        "suitable": False,
+        "generic": True,
+        "witnesses": [{"lambda": [1, -1], "norm": -4, "pair_h": -1, "pair_f": 3}],
+    },
+    reduction.ModificationStep: {"r_b": 1, "deg_b": 0},
+    reduction.ReductionTrace: {
+        "start": {"r": 2, "l": [1, 0], "s": 0},
+        "final": {"r": 2, "l": [1, 0], "s": 0},
+        "steps": [],
+        "squares": [4],
+    },
+    report.Check: {"name": "c", "passed": True, "data": {"x": 1}},
+    report.TheoremReport: {
+        "theorem": "t",
+        "verdict": True,
+        "checks": [{"name": "c", "passed": True, "data": {"x": 1}}],
+        "data": {"a": Fraction(1, 2)},
+    },
+    hilb2.F2Invariants: {"rank": 4, "delta_coeff": 1, "d_mod": 30, "a_mod": 120},
+    hilb2.McKaySquare: {"dims": [1, 0, 1, 0, 1], "end0_vanishing": True},
+    nl.NefIsotropicClasses: {
+        "rays": [{"class": [0, 1], "pair_h": 3}, {"class": [1, 0], "pair_h": 6}],
+        "alpha": [1, 0],
+        "pair_alpha_h": 6,
+        "unique": True,
+        "e_divides_d": False,
+        "e_divides_2d": False,
+    },
+    nl.Admissibility: {"ok": False, "reasons": ["walls"], "details": {"a": 3}},
+    pipelines.TwistResult: {
+        "vector": {"r": 2, "l": [1, 0], "s": 0},
+        "x": 1,
+        "ray": [1, 0],
+        "gcd_r_x": 1,
+        "r_l_coprime": True,
+    },
+    verify.VerifySummary: {
+        "ok": True,
+        "suites": [
+            {
+                "theorem": "t",
+                "verdict": True,
+                "checks": [{"name": "c", "passed": True, "data": {"x": 1}}],
+                "data": {},
+            }
+        ],
+        "failures": [],
+    },
+}
 
 def twin_of(cls):
     fields = [(f, object) if isinstance(f, str) else (f[0], object, f[1]) for f in SPECS[cls][0]]
@@ -175,17 +234,6 @@ def test_record_defaults_match(cls):
             assert getattr(tw, f[0]) is not getattr(twin(*required), f[0])
 
 
-def test_nondegenerate_flag_is_outside_equality_but_in_repr():
-    twin = twin_of(lattice.IntLattice)
-    gram = ((2, 1), (1, 0))
-    flagged, plain = lattice.IntLattice(2, gram, "", True), lattice.IntLattice(2, gram)
-    assert flagged == plain and hash(flagged) == hash(plain)
-    assert twin(2, gram, "", True) == twin(2, gram)
-    assert hash(twin(2, gram, "", True)) == hash(twin(2, gram))
-    assert repr(flagged) == repr(twin(2, gram, "", True)) != repr(plain)
-    assert "nondegenerate=True" in repr(flagged)
-
-
 def test_cached_lattice_stays_out_of_equality_and_repr():
     ns, fresh = walls.EllipticNS(2, 3), walls.EllipticNS(2, 3)
     assert ns.lattice is ns.lattice
@@ -193,3 +241,14 @@ def test_cached_lattice_stays_out_of_equality_and_repr():
     assert repr(ns) == repr(fresh) == "EllipticNS(e=2, d=3)"
     with pytest.raises(AttributeError):
         ns.lattice = None
+
+
+@pytest.mark.parametrize("cls", list(PINNED_JSON), ids=lambda c: c.__name__)
+def test_to_json_dict_is_pinned(cls):
+    got, want = cls(*SPECS[cls][1]).to_json_dict(), PINNED_JSON[cls]
+    assert got == want and repr(got) == repr(want)
+
+
+def test_to_json_dict_keeps_a_missing_ray_as_none():
+    got = pipelines.TwistResult(MV, 1, None, 1, True).to_json_dict()
+    assert repr(got) == repr({**PINNED_JSON[pipelines.TwistResult], "ray": None})

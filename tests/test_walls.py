@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkmod import verify
 from hkmod.errors import InputError
 from hkmod.lattice import lattice, pair, vec
 from hkmod.walls import (
@@ -187,28 +187,16 @@ def test_wall_ray():
         wall_ray(ns, vec((1, -1, 0)))
 
 
-def brute_walls(e, d, a):
-    out = []
-    for x in range(1, a + 1):
-        lo = (-a - e * x) // (2 * d) - 1
-        hi = (-e * x) // (2 * d) + 1
-        for y in range(lo, hi + 1):
-            q = x * (e * x + 2 * d * y)
-            if -a <= q < 0 and gcd(x, abs(y)) == 1:
-                out.append((x, y, q))
-    return out
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 6), st.integers(1, 8), st.integers(1, 25))
 def test_enumeration_matches_brute_scan(half_e, d, a):
     e = 2 * half_e
     ns = EllipticNS(e, d)
-    got = [(w.lam.int_coords()[0], w.lam.int_coords()[1], w.norm)
-           for w in enumerate_wall_classes(ns, a)]
-    assert got == brute_walls(e, d, a)
+    found = enumerate_wall_classes(ns, a)
+    assert [w.lam.int_coords() for w in found] == verify._brute_walls(e, d, a)
     lat = ns.lattice
-    for w in enumerate_wall_classes(ns, a):
+    for w in found:
+        assert w.norm == pair(lat, w.lam, w.lam)
         assert w.pair_h == pair(lat, w.lam, ns.h)
         assert w.pair_f == pair(lat, w.lam, ns.f)
         assert w.pair_f > 0
