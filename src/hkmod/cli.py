@@ -46,7 +46,6 @@ from .walls import (
     EllipticNS,
     elliptic_from_json,
     enumerate_wall_classes,
-    has_minus_two_class,
     is_suitable,
     min_negative_norm,
     suitability_for,
@@ -182,6 +181,7 @@ def cmd_walls(args) -> int:
     ns = EllipticNS(args.e, args.d)
     a = to_rational(args.a)
     found = enumerate_wall_classes(ns, a)
+    min_norm = min_negative_norm(ns) if ns.e >= 0 else None
     payload = {
         "e": ns.e,
         "d": ns.d,
@@ -190,8 +190,8 @@ def cmd_walls(args) -> int:
         "walls": [
             {**w.to_json_dict(), "ray": wall_ray(ns, w).to_json_dict()} for w in found
         ],
-        "min_negative_norm": min_negative_norm(ns) if ns.e >= 0 else None,
-        "has_minus_two_class": has_minus_two_class(ns) if ns.e >= 0 else None,
+        "min_negative_norm": min_norm,
+        "has_minus_two_class": None if min_norm is None else min_norm == 2,
     }
     code = 0
     if args.suitability:
@@ -291,23 +291,15 @@ def cmd_unicita(args) -> int:
     return 0 if report.verdict else 1
 
 
-def _run_scenario_command(args, expected_pipeline: str) -> int:
+def cmd_scenario(args) -> int:
     sc = load_scenario(args.scenario)
-    if sc.pipeline != expected_pipeline:
+    if sc.pipeline != args.command:
         raise InputError(
-            f"scenario pipeline is {sc.pipeline!r}, expected {expected_pipeline!r}"
+            f"scenario pipeline is {sc.pipeline!r}, expected {args.command!r}"
         )
     report = run_scenario(sc)
     _emit(args, report.to_json_dict())
     return 0 if report.verdict else 1
-
-
-def cmd_vbk3ell(args) -> int:
-    return _run_scenario_command(args, "vbk3ell")
-
-
-def cmd_casoprim(args) -> int:
-    return _run_scenario_command(args, "casoprim")
 
 
 def cmd_sweep_econ(args) -> int:
@@ -426,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vbk3ell", parents=[common], help="run a vbk3ell scenario")
     p.add_argument("--scenario", required=True, help="JSON scenario file")
-    p.set_defaults(func=cmd_vbk3ell)
+    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("casoprim", parents=[common], help="run a casoprim scenario")
     p.add_argument("--scenario", required=True, help="JSON scenario file")
-    p.set_defaults(func=cmd_casoprim)
+    p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser(
         "sweep-econ", parents=[common], help="sweep the slope congruence"

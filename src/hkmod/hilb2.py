@@ -17,7 +17,15 @@ from math import comb, gcd
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
 from .fujiki import fujiki_constant, parse_kind
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
-from .nl import DEFAULT_SEARCH_CAP, buonacompt_bound, buonacompt_min_d, rigsuk_bound, rigsuk_min_d0
+from .nl import (
+    DEFAULT_SEARCH_CAP,
+    buonacompt_bound,
+    buonacompt_min_d,
+    check_i,
+    check_parity,
+    rigsuk_bound,
+    rigsuk_min_d0,
+)
 from .record import Record, setfield
 from .report import Check, TheoremReport
 
@@ -27,16 +35,11 @@ def _check_r0(r0: int) -> None:
         raise InputError(f"r0 must be a positive integer, got {r0!r}")
 
 
-def _check_i(i: int) -> None:
-    if i not in (1, 2):
-        raise InputError(f"divisibility must be 1 or 2, got {i}")
-
-
 def divisibility_type(e: int, i: int) -> bool:
     """Arithmetic constraint on the polarization degree for divisibility i:
     e positive and even when i = 1, e positive and congruent to 6 mod 8
     when i = 2."""
-    _check_i(i)
+    check_i(i)
     if not isinstance(e, int) or isinstance(e, bool):
         raise InputError("e must be an integer")
     if i == 1:
@@ -120,13 +123,12 @@ def h_polarization(r0: int, i: int, m0: int, sign: str = "+") -> LatVec:
     """Coordinates (mu_D, mu_C, delta-half) of the slope-zero polarization:
     (i, 0, -i*(r0 -+ 1)/2)."""
     _check_r0(r0)
-    _check_i(i)
+    check_i(i)
     if sign not in ("+", "-"):
         raise InputError(f"sign must be '+' or '-', got {sign!r}")
     if not isinstance(m0, int) or isinstance(m0, bool) or m0 < 0:
         raise InputError("m0 must be a nonnegative integer")
-    if r0 % 2 != i % 2:
-        raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
+    check_parity(r0, i)
     last = Fraction(-i * (r0 - 1 if sign == "+" else r0 + 1), 2)
     assert last.denominator == 1
     return vec((i, 0, int(last)))
@@ -159,7 +161,7 @@ def hilb2_ns(m0: int, d0: int) -> Hilb2NS:
     if d0 < 1:
         raise InputError("d0 must be positive")
     gram = ((2 * m0, d0, 0), (d0, 0, 0), (0, 0, -2))
-    return Hilb2NS(m0=m0, d0=d0, lattice=lattice(gram, label="hilb2"))
+    return Hilb2NS(m0=m0, d0=d0, lattice=lattice(gram))
 
 
 def ambient_divisibility(v: LatVec) -> int:
@@ -179,17 +181,13 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     """Dictionary between surface data and ambient data, one identity per check:
     the slope-zero polarization has square e and divisibility i, pairs to
     i*d0 with the isotropic fiber class, the fiber class is isotropic, and
-    the pair spans a saturated sublattice."""
+    the pair spans a saturated sublattice. m0_s0 refuses an e of the wrong
+    degree type or congruence."""
     _check_r0(r0)
-    _check_i(i)
+    check_i(i)
     if d0 < 1:
         raise InputError("d0 must be positive")
-    if r0 % 2 != i % 2:
-        raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
-    if not divisibility_type(e, i):
-        raise MathCheckError(f"e = {e} is not a valid degree for divisibility {i}")
-    if not econ_check(r0, e):
-        raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
+    check_parity(r0, i)
     m0, _ = m0_s0(r0, e)
     ns = hilb2_ns(m0, d0)
     h = h_polarization(r0, i, m0)
@@ -331,7 +329,7 @@ def unicita_report(
     exterior-square invariants, the two minimal-parameter searches, and
     the ambient dictionary at the found parameter.
     """
-    _check_i(i)
+    check_i(i)
     _check_r0(r0)
     checks: list[Check] = []
 

@@ -89,7 +89,7 @@ def latvec_from_json(data, rank: int | None = None) -> LatVec:
 class IntLattice(Record):
     """Finite-rank lattice with an integral symmetric Gram matrix."""
 
-    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...], label: str = ""):
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...]):
         if rank < 1:
             raise InputError("rank must be positive")
         if len(gram) != rank or any(len(row) != rank for row in gram):
@@ -102,21 +102,26 @@ class IntLattice(Record):
                     raise InputError("gram must be symmetric")
         setfield(self, "rank", rank)
         setfield(self, "gram", gram)
-        setfield(self, "label", label)
 
     def basis_vector(self, i: int) -> LatVec:
         return vec(1 if j == i else 0 for j in range(self.rank))
 
 
-def lattice(gram: Sequence[Sequence[int]], label: str = "") -> IntLattice:
+def lattice(gram: Sequence[Sequence[int]]) -> IntLattice:
+    """Lattice of an integral symmetric Gram matrix given as an array of arrays.
+
+    Lattices compare by rank and Gram matrix alone."""
+    arrays = (list, tuple)
+    if not isinstance(gram, arrays) or not all(isinstance(row, arrays) for row in gram):
+        raise InputError("gram must be an array of arrays")
     rows = tuple(tuple(to_int(x, "gram entry") for x in row) for row in gram)
-    return IntLattice(rank=len(rows), gram=rows, label=label)
+    return IntLattice(rank=len(rows), gram=rows)
 
 
 def lattice_from_json(data) -> IntLattice:
     if not isinstance(data, dict) or "gram" not in data:
         raise InputError("lattice JSON must be an object with a 'gram' matrix")
-    lat = lattice(data["gram"], label=str(data.get("label", "")))
+    lat = lattice(data["gram"])
     if "rank" in data and to_int(data["rank"], "rank") != lat.rank:
         raise InputError(f"declared rank {data['rank']} does not match gram size {lat.rank}")
     return lat

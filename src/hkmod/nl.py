@@ -26,6 +26,16 @@ from .walls import EllipticNS
 DEFAULT_SEARCH_CAP = 10**7
 
 
+def check_i(i: int) -> None:
+    if i not in (1, 2):
+        raise InputError(f"divisibility must be 1 or 2, got {i}")
+
+
+def check_parity(r0: int, i: int) -> None:
+    if r0 % 2 != i % 2:
+        raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
+
+
 class NefIsotropicClasses(Record):
     """The isotropic rays on the nef boundary: the fiber class and the
     opposite primitive isotropic class alpha'."""
@@ -115,8 +125,7 @@ def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
         raise InputError("e must be positive")
     if d <= 0:
         raise InputError("d must be positive")
-    if i not in (1, 2):
-        raise InputError(f"divisibility must be 1 or 2, got {i}")
+    check_i(i)
     conditions = [
         ("d exceeds 10*(e+1)", d > 10 * (e + 1)),
         ("e does not divide 2d", 2 * d % e != 0),
@@ -132,8 +141,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
         raise InputError("e must be positive")
     if d <= 0:
         raise InputError("d must be positive")
-    if i not in (1, 2):
-        raise InputError(f"divisibility must be 1 or 2, got {i}")
+    check_i(i)
     if d % i:
         raise InputError(f"divisibility {i} must divide d = {d}")
     if m < 1:
@@ -170,14 +178,12 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     first or the second candidate. The cap counts candidates examined:
     SearchCapExceeded means the answer needs more of them than the cap.
     """
-    if i not in (1, 2):
-        raise InputError(f"divisibility must be 1 or 2, got {i}")
+    check_i(i)
     if e <= 0:
         raise InputError("e must be positive")
     if cap < 1:
         raise InputError("cap must be positive")
-    if r0 % 2 != i % 2:
-        raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
+    check_parity(r0, i)
     from .hilb2 import econ_check  # deferred: hilb2 imports this module
 
     if not econ_check(r0, e):

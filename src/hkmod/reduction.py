@@ -95,28 +95,21 @@ def rigid_vector(ns: IntLattice, v: MukaiVector, f: LatVec) -> MukaiVector:
 
 
 def elementary_modification(
-    ns: IntLattice,
-    w: MukaiVector,
-    step: ModificationStep,
-    f: LatVec,
-    strict: bool = True,
+    ns: IntLattice, w: MukaiVector, step: ModificationStep, f: LatVec
 ) -> MukaiVector:
     """Apply one modification w -> w - (0, r_b*f, deg_b).
 
-    The step must not increase the slope; by default it must strictly
-    decrease it, which makes the square drop by the positive amount
-    2*(r_b*k - r*deg_b).
+    The step must strictly decrease the slope, which makes the square
+    drop by the positive amount 2*(r_b*k - r*deg_b).
     """
     if w.r < 2:
         raise InputError("modifications need rank at least 2")
     if not 1 <= step.r_b <= w.r - 1:
         raise InputError(f"fiber rank must lie in [1, {w.r - 1}], got {step.r_b}")
     k = _fiber_degree(ns, w, f)
-    drop_half = step.r_b * k - w.r * step.deg_b
-    if drop_half < 0 or (strict and drop_half == 0):
+    if step.r_b * k - w.r * step.deg_b <= 0:
         raise MathCheckError(
-            f"step ({step.r_b}, {step.deg_b}) does not "
-            f"{'strictly ' if strict else ''}decrease the slope {k}/{w.r}"
+            f"step ({step.r_b}, {step.deg_b}) does not strictly decrease the slope {k}/{w.r}"
         )
     return MukaiVector(w.r, w.l - step.r_b * f, w.s - step.deg_b)
 
@@ -134,7 +127,7 @@ def reduction_trace(
         raise MathCheckError(f"square {squares[0]} is below the rigid bound -2")
     applied = []
     for step in steps:
-        nxt = elementary_modification(ns, current, step, f, strict=True)
+        nxt = elementary_modification(ns, current, step, f)
         sq = mukai_square(ns, nxt)
         if sq < -2:
             raise MathCheckError(

@@ -34,7 +34,7 @@ class EllipticNS(Record):
 
     @cached_property
     def lattice(self) -> IntLattice:
-        return lattice(((self.e, self.d), (self.d, 0)), label="ns")
+        return lattice(((self.e, self.d), (self.d, 0)))
 
     @property
     def h(self) -> LatVec:
@@ -132,28 +132,22 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
 
 
 def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
-    """Sign test of every wall class of level a against h and f.
+    """Sign test of every wall class of level a against h.
 
-    Suitable means each wall pairs with h and with f to values of the
-    same sign (or both zero); generic means no wall is orthogonal to h.
+    Every wall pairs positively with f (pair_f = d*x > 0), so h is
+    suitable iff each wall pairs positively with h too; the witnesses
+    are the walls with pair(lam, h) <= 0. Generic means no wall is
+    orthogonal to h.
     """
     if ns.q(h) <= 0:
         raise InputError("polarization must have positive self-pairing")
     lat = ns.lattice
-    f = ns.f
-    witnesses = []
-    generic = True
-    for wall in enumerate_wall_classes(ns, a):
-        ph = pair(lat, wall.lam, h)
-        pf = pair(lat, wall.lam, f)
-        if ph == 0:
-            generic = False
-        sh = (ph > 0) - (ph < 0)
-        sf = (pf > 0) - (pf < 0)
-        if sh != sf:
-            witnesses.append(wall)
+    pairings = [(wall, pair(lat, wall.lam, h)) for wall in enumerate_wall_classes(ns, a)]
+    witnesses = tuple(wall for wall, ph in pairings if ph <= 0)
     return SuitabilityReport(
-        suitable=not witnesses, generic=generic, witnesses=tuple(witnesses)
+        suitable=not witnesses,
+        generic=all(ph != 0 for _, ph in pairings),
+        witnesses=witnesses,
     )
 
 
@@ -165,7 +159,8 @@ def same_chamber(ns: EllipticNS, a, h0: LatVec, h1: LatVec) -> bool:
     """True iff no wall of level a separates the two polarizations.
 
     Both classes must lie in the h-side of the positive cone: positive
-    self-pairing and positive pairing with f.
+    self-pairing and positive pairing with f. They share a chamber iff
+    every wall pairs with both to nonzero values of one sign.
     """
     lat = ns.lattice
     for label, h in (("h0", h0), ("h1", h1)):
@@ -173,14 +168,10 @@ def same_chamber(ns: EllipticNS, a, h0: LatVec, h1: LatVec) -> bool:
             raise InputError(f"{label} must have positive self-pairing")
         if pair(lat, h, ns.f) <= 0:
             raise InputError(f"{label} must pair positively with the fiber class")
-    for wall in enumerate_wall_classes(ns, a):
-        p0 = pair(lat, wall.lam, h0)
-        p1 = pair(lat, wall.lam, h1)
-        s0 = (p0 > 0) - (p0 < 0)
-        s1 = (p1 > 0) - (p1 < 0)
-        if s0 == 0 or s1 == 0 or s0 != s1:
-            return False
-    return True
+    return all(
+        pair(lat, wall.lam, h0) * pair(lat, wall.lam, h1) > 0
+        for wall in enumerate_wall_classes(ns, a)
+    )
 
 
 def min_negative_norm(ns: EllipticNS) -> int:

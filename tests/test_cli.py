@@ -170,6 +170,15 @@ def test_non_integer_scalars_are_input_errors(capsys, files, tmp_path, command, 
         ("vbk3ell", {"pipeline": "vbk3ell", "lattices": [1], "vectors": {}}),
         ("casoprim", {"pipeline": "casoprim", "lattices": {"ns": {"e": 4, "d": 1}},
                       "vectors": [1]}),
+        # Gram matrices that are not arrays of arrays
+        ("mukai", {"gram": 5}),
+        ("mukai", {"gram": [1, 2]}),
+        ("mukai", {"gram": None}),
+        ("fujiki", {"kind": "K3^[2]", "gram": 5}),
+        ("vbk3ell", {"pipeline": "vbk3ell", "lattices": {"ns": {"gram": [1, 2]}},
+                     "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}}}),
+        ("casoprim", {"pipeline": "casoprim", "lattices": {"ns": {"gram": None}},
+                      "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]}}),
     ],
 )
 def test_malformed_structure_is_input_error(capsys, files, tmp_path, command, data):
@@ -177,6 +186,8 @@ def test_malformed_structure_is_input_error(capsys, files, tmp_path, command, da
     path.write_text(json.dumps(data))
     if command == "fujiki":
         argv = ["fujiki", "--setup", str(path), "--classes", files["fujiki_classes"]]
+    elif command == "mukai":
+        argv = ["mukai", "--ns", str(path), "--v", files["v"]]
     else:
         argv = [command, "--scenario", str(path)]
     code, out, err = run(capsys, argv)

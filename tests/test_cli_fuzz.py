@@ -1,0 +1,90 @@
+"""Every subcommand that reads a JSON file keeps the exit-code contract on any small JSON value.
+
+One input file at a time, or one field of it, is replaced by an arbitrary
+small JSON value and cli.main runs in process: it must return 0, 1, 2 or 3 without an
+exception, and a nonzero exit must say why: a refusal or an input error
+on stderr, a failed verdict in its report on stdout. Integers stay in
+[-10, 10] and numeric strings stay short, so no case reaches the scans
+that nothing bounds yet (a wall level of 10**9, say).
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hkmod.cli import main
+
+SCENARIO_VECTORS = {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]}
+FILES = {
+    "ns": {"e": 4, "d": 1},
+    "v": {"r": 2, "l": [1, 0], "s": 0},
+    "w": {"r": 1, "l": [0, 1], "s": 1},
+    "v3": {"r": 3, "l": [1, 0], "s": 0},
+    "steps": [{"r_b": 1, "deg_b": 0}, {"r_b": 2, "deg_b": 0}],
+    "f": [0, 1],
+    "setup": {"kind": "K3^[2]", "gram": [[6]]},
+    "classes": [[1], [1], [1], [1]],
+    "h": [1, 5],
+    "scenario_vb": {"pipeline": "vbk3ell", "lattices": {"ns": {"e": 4, "d": 1}},
+                    "vectors": SCENARIO_VECTORS},
+    "scenario_cp": {"pipeline": "casoprim", "lattices": {"ns": {"e": 4, "d": 1}},
+                    "vectors": SCENARIO_VECTORS},
+}
+# "@name" stands for the path of the input file FILES[name]
+COMMANDS = {
+    "mukai": ["mukai", "--ns", "@ns", "--v", "@v", "--w", "@w"],
+    "rigid": ["rigid", "--ns", "@ns", "--v", "@v", "--f", "@f"],
+    "reduce": ["reduce", "--ns", "@ns", "--v", "@v3", "--steps", "@steps", "--f", "@f"],
+    "fujiki": ["fujiki", "--setup", "@setup", "--classes", "@classes"],
+    "walls": ["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability", "--h", "@h"],
+    "vbk3ell": ["vbk3ell", "--scenario", "@scenario_vb"],
+    "casoprim": ["casoprim", "--scenario", "@scenario_cp"],
+}
+
+# the keys and strings the input files use, so that arbitrary values often reach past the
+# first shape check
+KEYS = st.sampled_from(
+    ["e", "d", "r", "l", "s", "gram", "rank", "label", "kind", "n", "c_x", "r_b", "deg_b",
+     "pipeline", "lattices", "vectors", "ns", "v", "h"]
+) | st.text("ab", max_size=3)
+STRINGS = st.sampled_from(
+    ["", "1/2", "-3", "1/0", " 2", "K3^[2]", "Kum_2", "vbk3ell", "casoprim", "twist"]
+) | st.text("ab/", max_size=4)
+SCALARS = st.none() | st.booleans() | st.integers(-10, 10) | STRINGS
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
+    argv = COMMANDS[command]
+    names = [a[1:] for a in argv if a.startswith("@")]
+    replaced = data.draw(st.sampled_from(names), label="file")
+    value = data.draw(JSON_VALUES, label="value")
+    if isinstance(FILES[replaced], dict) and data.draw(st.booleans(), label="one field"):
+        field = data.draw(st.sampled_from(sorted(FILES[replaced])), label="field")
+        value = {**FILES[replaced], field: value}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in names:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(value if name == replaced else FILES[name]))
+            paths["@" + name] = str(path)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(a, a) for a in argv])
+    assert code in (0, 1, 2, 3)
+    if code == 1 and not err.getvalue():
+        assert out.getvalue()  # a failed verdict: the report says why
+    elif code:
+        assert err.getvalue().startswith(("error:", "refused:")), err.getvalue()

@@ -60,10 +60,23 @@ def test_lattice_validation():
         lattice(((1, 2),))  # not square
     with pytest.raises(InputError):
         lattice(((Fraction(1, 2),),))  # not integral
+    for gram in (5, [1, 2], None, "12", ["12", "21"], [[1], 2]):
+        with pytest.raises(InputError, match="array of arrays"):
+            lattice(gram)
+        with pytest.raises(InputError, match="array of arrays"):
+            lattice_from_json({"gram": gram})
+    # a "label" key is ignored like any other unknown key
     lat = lattice_from_json({"gram": [[2, 3], [3, 0]], "label": "hyp"})
-    assert lat.gram == ((2, 3), (3, 0)) and lat.label == "hyp"
+    assert lat == HYP and lat.gram == ((2, 3), (3, 0))
     with pytest.raises(InputError):
         lattice_from_json({"nope": 1})
+
+
+def test_equal_gram_matrices_give_equal_lattices():
+    assert EllipticNS(4, 1).lattice == lattice(((4, 1), (1, 0)))
+    assert lattice([[2, 3], [3, 0]]) == HYP
+    assert hash(lattice([[2, 3], [3, 0]])) == hash(HYP)
+    assert lattice(((2, 3), (3, 2))) != HYP
 
 
 def test_pair_and_norm():

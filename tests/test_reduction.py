@@ -72,18 +72,12 @@ def test_elementary_modification():
     out = elementary_modification(E4D1, w, ModificationStep(1, 0), F)
     assert out == MukaiVector(2, vec((1, 2)), 3)
     assert mukai_square(E4D1, out) == mukai_square(E4D1, w) - 2
-    # slope-preserving step: refused when strict, allowed otherwise
+    # slope-preserving and slope-increasing steps are refused
     w2 = MukaiVector(3, vec((3, 0)), 0)
-    with pytest.raises(MathCheckError, match="strictly decrease"):
+    with pytest.raises(MathCheckError, match=r"step \(1, 1\) does not strictly decrease the slope 3/3"):
         elementary_modification(E4D1, w2, ModificationStep(1, 1), F)
-    kept = elementary_modification(E4D1, w2, ModificationStep(1, 1), F, strict=False)
-    assert mukai_square(E4D1, kept) == mukai_square(E4D1, w2)
-    # slope-increasing step: always refused
-    with pytest.raises(MathCheckError):
-        elementary_modification(
-            E4D1, MukaiVector(2, vec((1, 0)), 0), ModificationStep(1, 1), F,
-            strict=False,
-        )
+    with pytest.raises(MathCheckError, match=r"step \(1, 1\) does not strictly decrease the slope 1/2"):
+        elementary_modification(E4D1, MukaiVector(2, vec((1, 0)), 0), ModificationStep(1, 1), F)
     with pytest.raises(InputError):
         elementary_modification(E4D1, w, ModificationStep(2, 0), F)  # r_b = r
     with pytest.raises(InputError):

@@ -74,20 +74,8 @@ def test_narrowed_potenza_range_matches_full_range():
         assert verify._brute_potenza(n, d1, d2, r, a) == full, (n, d1, d2, r, a)
 
 
-def test_box_scan_catches_a_dropped_wall(monkeypatch):
-    enumerate_all = walls.enumerate_wall_classes
-    monkeypatch.setattr(walls, "enumerate_wall_classes", lambda ns, a: enumerate_all(ns, a)[:-1])
-    assert "walls.enumeration_matches_box_scan" in verify_all("walls").failures()
-
-
-def test_fiber_check_catches_a_wrong_top_intersection(monkeypatch):
-    top = fujiki.top_intersection
-    monkeypatch.setattr(fujiki, "top_intersection", lambda setup, classes: top(setup, classes) + 1)
-    assert "fujiki.fiber_integral_closed_form" in verify_all("fujiki").failures()
-
-
 def test_fiber_check_catches_a_wrong_top_intersection_without_asserts():
-    # the same mutation under python -O, where every assert is stripped
+    # MUTATIONS["top_intersection_off_by_one"] under python -O, where every assert is stripped
     src = str(Path(hkmod.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
@@ -125,6 +113,16 @@ def bump_s(w):
 # The library computes these answers without re-proving them; each mutation
 # gives one of them a wrong answer that only the named verify-all check sees.
 MUTATIONS = {
+    "wall_dropped": (
+        walls, "enumerate_wall_classes",
+        lambda f: lambda ns, a: f(ns, a)[:-1],
+        "walls", "enumeration_matches_box_scan",
+    ),
+    "top_intersection_off_by_one": (
+        fujiki, "top_intersection",
+        lambda f: lambda setup, classes: f(setup, classes) + 1,
+        "fujiki", "fiber_integral_closed_form",
+    ),
     "isotropic_alpha_not_isotropic": (
         nl, "nef_isotropic_classes",
         lambda f: lambda e, d: changed(f(e, d), alpha=walls.EllipticNS(e, d).h),
@@ -177,7 +175,7 @@ MUTATIONS = {
     ),
     "modification_wrong_drop": (
         reduction, "elementary_modification",
-        lambda f: lambda ns, w, step, fib, strict=True: bump_s(f(ns, w, step, fib, strict)),
+        lambda f: lambda ns, w, step, fib: bump_s(f(ns, w, step, fib)),
         "reduction", "modification_drop_law",
     ),
     "dimension_sides_differ": (

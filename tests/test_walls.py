@@ -8,6 +8,7 @@ from hkmod.errors import InputError
 from hkmod.lattice import lattice, pair, vec
 from hkmod.walls import (
     EllipticNS,
+    SuitabilityReport,
     as_elliptic,
     elliptic_from_json,
     enumerate_wall_classes,
@@ -215,3 +216,60 @@ def test_min_norm_bound(half_e, d):
     # the reported minimum is achieved by some primitive class
     walls = enumerate_wall_classes(ns, value)
     assert walls and min(-w.norm for w in walls) == value
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def two_sign_suitability(ns, a, h):
+    # the rule suitability_for used before: h and f pair with each wall to one sign
+    lat = ns.lattice
+    witnesses, generic = [], True
+    for wall in enumerate_wall_classes(ns, a):
+        ph, pf = pair(lat, wall.lam, h), pair(lat, wall.lam, ns.f)
+        generic = generic and ph != 0
+        if sign(ph) != sign(pf):
+            witnesses.append(wall)
+    return SuitabilityReport(not witnesses, generic, tuple(witnesses))
+
+
+def two_sign_same_chamber(ns, a, h0, h1):
+    # the rule same_chamber used before: h0 and h1 pair with each wall to one nonzero sign
+    lat = ns.lattice
+    for wall in enumerate_wall_classes(ns, a):
+        s0, s1 = sign(pair(lat, wall.lam, h0)), sign(pair(lat, wall.lam, h1))
+        if s0 == 0 or s1 == 0 or s0 != s1:
+            return False
+    return True
+
+
+exact = st.integers(-6, 12) | st.builds("{}/{}".format, st.integers(-20, 40), st.integers(2, 5))
+level = st.integers(1, 12) | st.builds("{}/{}".format, st.integers(1, 40), st.integers(2, 5))
+
+
+@st.composite
+def polarization(draw, ns):
+    if draw(st.booleans()):
+        return vec((draw(exact), draw(exact)))
+    # orthogonal to the wall x*h + y*f, up to a rational multiple
+    x, y = draw(st.integers(1, 4)), draw(st.integers(-12, 0))
+    scale = draw(st.sampled_from((1, 2, Fraction(1, 2), Fraction(3, 2))))
+    return scale * vec((ns.d * x, -(ns.e * x + ns.d * y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(-6, 10), st.integers(1, 6), level)
+def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
+    ns = EllipticNS(e, d)
+    h0, h1 = data.draw(polarization(ns)), data.draw(polarization(ns))
+    if ns.q(h0) > 0:
+        assert suitability_for(ns, a, h0) == two_sign_suitability(ns, a, h0)
+    else:
+        with pytest.raises(InputError):
+            suitability_for(ns, a, h0)
+    if all(ns.q(h) > 0 and ns.q(h, ns.f) > 0 for h in (h0, h1)):
+        assert same_chamber(ns, a, h0, h1) is two_sign_same_chamber(ns, a, h0, h1)
+    else:
+        with pytest.raises(InputError):
+            same_chamber(ns, a, h0, h1)
