@@ -313,7 +313,7 @@ def cmd_sweep_econ(args) -> int:
         for e in range(1, args.emax + 1):
             if not (divisibility_type(e, i) and econ_check(r0, e)):
                 continue
-            m0, s0 = m0_s0(r0, e)  # integrality asserted inside
+            m0, s0 = m0_s0(r0, e)  # exact: verify-all proves it in twist_numerics_integral_sweep
             hits.append({"e": e, "m0": m0, "s0": s0})
             cases += 1
         rows.append({"r0": r0, "i": i, "count": len(hits), "first": hits[:3]})

@@ -21,11 +21,11 @@ from .record import Record, setfield
 
 # Normalized Fujiki constants of the known deformation types, keyed by
 # family name; each entry maps the half-dimension n to c_X.
-FUJIKI_CONSTANTS: dict[str, Callable[[int], Fraction]] = {
-    "K3": lambda n: Fraction(1),
-    "K3^[n]": lambda n: Fraction(1),
-    "Kum_n": lambda n: Fraction(n + 1),
-    "OG6": lambda n: Fraction(4),
+FUJIKI_CONSTANTS: dict[str, Callable[[int], int]] = {
+    "K3": lambda n: 1,
+    "K3^[n]": lambda n: 1,
+    "Kum_n": lambda n: n + 1,
+    "OG6": lambda n: 4,
 }
 
 _KIND_RE = re.compile(r"^(K3\^\[(\d+)\]|Kum_(\d+))$")
@@ -57,7 +57,7 @@ def parse_kind(kind: str, n: int | None = None) -> tuple[str, int]:
     raise InputError(f"unknown deformation type {kind!r}")
 
 
-def fujiki_constant(kind: str, n: int | None = None) -> Fraction:
+def fujiki_constant(kind: str, n: int | None = None) -> int:
     key, n_val = parse_kind(kind, n)
     if n_val < 1:
         raise InputError("n must be positive")

@@ -11,7 +11,6 @@ ambient data (h, f, divisibility i) identity by identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
@@ -21,18 +20,16 @@ from .nl import (
     DEFAULT_SEARCH_CAP,
     buonacompt_bound,
     buonacompt_min_d,
+    check_econ,
     check_i,
     check_parity,
+    check_r0,
+    econ_check,
     rigsuk_bound,
     rigsuk_min_d0,
 )
 from .record import Record, setfield
 from .report import Check, TheoremReport
-
-
-def _check_r0(r0: int) -> None:
-    if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
-        raise InputError(f"r0 must be a positive integer, got {r0!r}")
 
 
 def divisibility_type(e: int, i: int) -> bool:
@@ -47,51 +44,34 @@ def divisibility_type(e: int, i: int) -> bool:
     return e > 0 and e % 8 == 6
 
 
-def econ_check(r0: int, e: int) -> bool:
-    """Congruence on e that makes the twist slope integral, by r0 mod 4:
-    e = 4*r0 - 10 (mod 8*r0)   when r0 = 0,
-    e = (r0 - 5)/2 (mod 2*r0)  when r0 = 1,
-    e = -10 (mod 8*r0)         when r0 = 2,
-    e = -(r0 + 5)/2 (mod 2*r0) when r0 = 3."""
-    _check_r0(r0)
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise InputError("e must be an integer")
-    m = r0 % 4
-    if m == 0:
-        return e % (8 * r0) == (4 * r0 - 10) % (8 * r0)
-    if m == 1:
-        return e % (2 * r0) == ((r0 - 5) // 2) % (2 * r0)
-    if m == 2:
-        return e % (8 * r0) == (-10) % (8 * r0)
-    return e % (2 * r0) == (-(r0 + 5) // 2) % (2 * r0)
-
-
 def governing_divisibility(r0: int) -> int:
     """Divisibility forced by the rank parity: 1 for odd r0, 2 for even."""
-    _check_r0(r0)
+    check_r0(r0)
     return 1 if r0 % 2 else 2
+
+
+def _shifted_r0(r0: int, sign: str) -> int:
+    """r0 - 1 for the '+' twist, r0 + 1 for the '-' twist."""
+    if sign not in ("+", "-"):
+        raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    check_r0(r0)
+    return r0 - 1 if sign == "+" else r0 + 1
 
 
 def m0_s0(r0: int, e: int, sign: str = "+") -> tuple[int, int]:
     """Twist degree m0 and slope s0 = (m0+1)/r0 of the distinguished sheaf.
 
     m0 = e/2 + (r0 -+ 1)^2/4 for odd r0 and e/8 + (r0 -+ 1)^2/4 for even
-    r0. Both integralities are consequences of the congruence conditions
-    and are asserted, not re-checked.
+    r0. The congruence conditions make both divisions exact; the
+    verify-all check hilb2.twist_numerics_integral_sweep proves it.
     """
-    if sign not in ("+", "-"):
-        raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    shift = _shifted_r0(r0, sign)
     i = governing_divisibility(r0)
     if not divisibility_type(e, i):
         raise MathCheckError(f"e = {e} is not a valid degree for divisibility {i}")
-    if not econ_check(r0, e):
-        raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
-    offset = (r0 - 1 if sign == "+" else r0 + 1) ** 2
-    m0 = Fraction(e, 2 if r0 % 2 else 8) + Fraction(offset, 4)
-    assert m0.denominator == 1, f"m0 = {m0} must be integral"
-    s0 = Fraction(int(m0) + 1, r0)
-    assert s0.denominator == 1, f"s0 = {s0} must be integral"
-    return int(m0), int(s0)
+    check_econ(r0, e)
+    m0 = (2 * e + shift**2) // 4 if r0 % 2 else (e + 2 * shift**2) // 8
+    return m0, (m0 + 1) // r0
 
 
 class F2Invariants(Record):
@@ -107,31 +87,24 @@ class F2Invariants(Record):
 def f2_invariants(r0: int) -> F2Invariants:
     """rank r0^2, discriminant coefficient r0^2(r0^2-1)/12, modularity
     constant 5*binom(r0^2, 2), and wall-control constant rank^2*d_mod/4."""
-    _check_r0(r0)
+    check_r0(r0)
     rank = r0 * r0
-    delta_coeff = Fraction(rank * (rank - 1), 12)
-    assert delta_coeff.denominator == 1
+    delta_coeff = rank * (rank - 1) // 12
     d_mod = 5 * comb(rank, 2)
-    a_mod = Fraction(rank * rank * d_mod, 4)
-    assert a_mod.denominator == 1
-    return F2Invariants(
-        rank=rank, delta_coeff=int(delta_coeff), d_mod=d_mod, a_mod=int(a_mod)
-    )
+    a_mod = rank * rank * d_mod // 4
+    return F2Invariants(rank=rank, delta_coeff=delta_coeff, d_mod=d_mod, a_mod=a_mod)
 
 
 def h_polarization(r0: int, i: int, m0: int, sign: str = "+") -> LatVec:
     """Coordinates (mu_D, mu_C, delta-half) of the slope-zero polarization:
     (i, 0, -i*(r0 -+ 1)/2)."""
-    _check_r0(r0)
+    check_r0(r0)
     check_i(i)
-    if sign not in ("+", "-"):
-        raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    shift = _shifted_r0(r0, sign)
     if not isinstance(m0, int) or isinstance(m0, bool) or m0 < 0:
         raise InputError("m0 must be a nonnegative integer")
     check_parity(r0, i)
-    last = Fraction(-i * (r0 - 1 if sign == "+" else r0 + 1), 2)
-    assert last.denominator == 1
-    return vec((i, 0, int(last)))
+    return vec((i, 0, -i * shift // 2))
 
 
 class Hilb2NS(Record):
@@ -183,7 +156,7 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     i*d0 with the isotropic fiber class, the fiber class is isotropic, and
     the pair spans a saturated sublattice. m0_s0 refuses an e of the wrong
     degree type or congruence."""
-    _check_r0(r0)
+    check_r0(r0)
     check_i(i)
     if d0 < 1:
         raise InputError("d0 must be positive")
@@ -255,8 +228,6 @@ def resemibis_ranks(kind: str, n: int | None = None, r_max: int | None = None) -
     if r_max is None or r_max < 1:
         raise InputError("r_max must be positive")
     c = fujiki_constant(kind, n)
-    assert c.denominator == 1
-    c = int(c)
     _, n_val = parse_kind(kind, n)
     found = set()
     r0 = 1
@@ -330,7 +301,7 @@ def unicita_report(
     the ambient dictionary at the found parameter.
     """
     check_i(i)
-    _check_r0(r0)
+    check_r0(r0)
     checks: list[Check] = []
 
     def report() -> TheoremReport:
@@ -363,7 +334,6 @@ def unicita_report(
     checks.append(Check("m0_s0", True, {"m0": m0, "s0": s0}))
 
     inv = f2_invariants(r0)
-    assert r0 % i == 0
     checks.append(
         Check(
             "f2_invariants",

@@ -26,6 +26,11 @@ from .walls import EllipticNS
 DEFAULT_SEARCH_CAP = 10**7
 
 
+def check_r0(r0: int) -> None:
+    if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
+        raise InputError(f"r0 must be a positive integer, got {r0!r}")
+
+
 def check_i(i: int) -> None:
     if i not in (1, 2):
         raise InputError(f"divisibility must be 1 or 2, got {i}")
@@ -34,6 +39,30 @@ def check_i(i: int) -> None:
 def check_parity(r0: int, i: int) -> None:
     if r0 % 2 != i % 2:
         raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
+
+
+def econ_check(r0: int, e: int) -> bool:
+    """Congruence on e that makes the twist slope integral, by r0 mod 4:
+    e = 4*r0 - 10 (mod 8*r0)   when r0 = 0,
+    e = (r0 - 5)/2 (mod 2*r0)  when r0 = 1,
+    e = -10 (mod 8*r0)         when r0 = 2,
+    e = -(r0 + 5)/2 (mod 2*r0) when r0 = 3."""
+    check_r0(r0)
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise InputError("e must be an integer")
+    m = r0 % 4
+    if m == 0:
+        return e % (8 * r0) == (4 * r0 - 10) % (8 * r0)
+    if m == 1:
+        return e % (2 * r0) == ((r0 - 5) // 2) % (2 * r0)
+    if m == 2:
+        return e % (8 * r0) == (-10) % (8 * r0)
+    return e % (2 * r0) == (-(r0 + 5) // 2) % (2 * r0)
+
+
+def check_econ(r0: int, e: int) -> None:
+    if not econ_check(r0, e):
+        raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
 
 
 class NefIsotropicClasses(Record):
@@ -164,8 +193,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
 
 def buonacompt_bound(r0: int, e: int) -> Fraction:
     """Lower bound (5/16)*r0^6*(r0^2-1)*(e+1) that d must exceed."""
-    if r0 < 1:
-        raise InputError("r0 must be positive")
+    check_r0(r0)
     return Fraction(5, 16) * r0**6 * (r0**2 - 1) * (e + 1)
 
 
@@ -184,10 +212,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     if cap < 1:
         raise InputError("cap must be positive")
     check_parity(r0, i)
-    from .hilb2 import econ_check  # deferred: hilb2 imports this module
-
-    if not econ_check(r0, e):
-        raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
+    check_econ(r0, e)
     if (2 * i) % e == 0:
         raise NoAdmissibleParameter(
             f"e = {e} divides 2*d for every d divisible by {i}: the search is empty"
@@ -205,8 +230,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
 
 def rigsuk_bound(m0: int, r0: int) -> Fraction:
     """Lower bound (2*m0+1)*r0^2*(r0^2-1)/4 that d0 must exceed."""
-    if r0 < 1:
-        raise InputError("r0 must be positive")
+    check_r0(r0)
     if m0 < 0:
         raise InputError("m0 must be nonnegative")
     return Fraction((2 * m0 + 1) * r0**2 * (r0**2 - 1), 4)

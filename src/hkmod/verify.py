@@ -12,8 +12,9 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from . import fujiki, hilb2, nl, pipelines, reduction, walls
+from . import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
 from .errors import InputError
+from .jsonio import canonical_json
 from .lattice import (
     content,
     discriminant,
@@ -533,9 +534,7 @@ def _suite_nl() -> TheoremReport:
         return True
 
     def admissible_examples():
-        from .mukai import MukaiNumerics
-
-        num = MukaiNumerics.from_square(2, 4)
+        num = mukai.MukaiNumerics.from_square(2, 4)
         if not nl.nl_k3_admissible(4, 31, num).ok:
             return False, {"case": 31}
         if walls.enumerate_wall_classes(walls.EllipticNS(4, 31), num.a_v):
@@ -694,8 +693,6 @@ def _suite_pipelines() -> TheoremReport:
     checks: list[Check] = []
 
     def deterministic():
-        from .jsonio import canonical_json
-
         sc = pipelines.scenario_from_json(
             {
                 "pipeline": "vbk3ell",
@@ -725,8 +722,6 @@ def _suite_pipelines() -> TheoremReport:
 
     def multacca_squares():
         lat = lattice(((4, 1), (1, 0)))
-        from .mukai import mukai_square as msq
-
         for _ in range(100):
             v = MukaiVector(
                 rng.randint(1, 4),
@@ -734,7 +729,7 @@ def _suite_pipelines() -> TheoremReport:
                 rng.randint(-4, 4),
             )
             out = pipelines.multacca_normalize(lat, v, vec((1, 0)), rng.randint(-3, 3))
-            if msq(lat, out.vector) != msq(lat, v):
+            if mukai_square(lat, out.vector) != mukai_square(lat, v):
                 return False, {}
             if out.ray is not None and out.vector.l != out.x * out.ray:
                 return False, {}

@@ -400,3 +400,30 @@ def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
+
+
+GATE_REFUSALS = [
+    (["nl-search", "--r0", "0", "--e", "6"], 2, "error: r0 must be a positive integer, got 0"),
+    (["nl-search", "--r0", "2", "--e", "8"], 1,
+     "refused: e = 8 fails the congruence condition for r0 = 2"),
+    (["nl-search", "--r0", "1", "--e", "2"], 1,
+     "refused: e = 2 divides 2*d for every d divisible by 1: the search is empty"),
+    (["nl-search", "--r0", "2", "--e", "-6"], 2, "error: e must be positive"),
+    (["nl-search", "--r0", "2", "--e", "6", "--cap", "0"], 2, "error: cap must be positive"),
+    (["unicita", "--i", "3", "--r0", "2", "--e", "6"], 2,
+     "error: divisibility must be 1 or 2, got 3"),
+    (["unicita", "--i", "2", "--r0", "0", "--e", "6"], 2,
+     "error: r0 must be a positive integer, got 0"),
+    (["sweep-econ", "--r0max", "0", "--emax", "10"], 2,
+     "error: --r0max and --emax must be positive"),
+    (["nl", "--kind", "hk", "--i", "3", "--e", "4", "--d", "51"], 2,
+     "error: divisibility must be 1 or 2, got 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err", GATE_REFUSALS, ids=[" ".join(argv) for argv, _, _ in GATE_REFUSALS]
+)
+def test_parameter_gate_refusals(capsys, argv, code, err):
+    """Each parameter refusal the CLI can reach: exact exit code and stderr line."""
+    assert run(capsys, argv) == (code, "", err + "\n")

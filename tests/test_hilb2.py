@@ -324,6 +324,10 @@ def test_m0_s0_integrality_sweep(r0, e):
             m0, s0 = m0_s0(r0, e, sign=sign)
         except MathCheckError:
             continue
+        shift = r0 - 1 if sign == "+" else r0 + 1
+        assert m0 == Fraction(e, 2 if r0 % 2 else 8) + Fraction(shift * shift, 4)
         assert m0 >= 0
         assert m0 + 1 == r0 * s0
         assert econ_check(r0, e)
+        i = governing_divisibility(r0)
+        assert h_polarization(r0, i, m0, sign).coords[2] == Fraction(-i * shift, 2)

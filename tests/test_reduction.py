@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hkmod.errors import InputError, MathCheckError
 from hkmod.lattice import lattice, pair, vec
@@ -124,14 +124,17 @@ def test_dim_identity_spot():
         nonlocally_free_dim_identity(E4D1, MukaiVector(0, vec((1, 0)), 0), 1)
 
 
-@given(st.integers(2, 6), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
-       st.integers(1, 5), st.integers(-3, 3))
-def test_modification_drop_law(r, x, y, s, r_b, deg_b):
-    assume(r_b < r)
+@settings(deadline=None)
+@given(st.integers(2, 6), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.data())
+def test_modification_drop_law(r, x, y, s, data):
     w = MukaiVector(r, vec((x, y)), s)
     k = int(pair(E4D1, w.l, F))
+    r_b = data.draw(st.integers(1, r - 1), label="r_b")
+    # the largest deg_b below the slope r_b*k/r, so every draw is a strict step
+    top = (r_b * k - 1) // r
+    deg_b = data.draw(st.integers(top - 6, top), label="deg_b")
     drop_half = r_b * k - r * deg_b
-    assume(drop_half > 0)
+    assert drop_half > 0
     out = elementary_modification(E4D1, w, ModificationStep(r_b, deg_b), F)
     assert mukai_square(E4D1, out) == mukai_square(E4D1, w) - 2 * drop_half
 
