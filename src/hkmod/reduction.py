@@ -63,10 +63,12 @@ class ReductionTrace(Record):
         steps: tuple[ModificationStep, ...],
         squares: tuple[int, ...],
     ):
-        assert len(squares) == len(steps) + 1
-        for a, b in zip(squares, squares[1:]):
-            assert b < a, "squares along a trace decrease strictly"
-        assert all(s >= -2 for s in squares)
+        if len(squares) != len(steps) + 1:
+            raise InputError("a trace has one more square than steps")
+        if any(b >= a for a, b in zip(squares, squares[1:])):
+            raise InputError("squares along a trace decrease strictly")
+        if any(s < -2 for s in squares):
+            raise InputError("squares along a trace are at least -2")
         setfield(self, "start", start)
         setfield(self, "final", final)
         setfield(self, "steps", steps)

@@ -85,8 +85,8 @@ class WallClass(Record):
 
 class SuitabilityReport(Record):
     def __init__(self, suitable: bool, generic: bool, witnesses: tuple[WallClass, ...]):
-        if not suitable:
-            assert witnesses, "an unsuitable report must carry a witness"
+        if not suitable and not witnesses:
+            raise InputError("an unsuitable report must carry a witness")
         setfield(self, "suitable", suitable)
         setfield(self, "generic", generic)
         setfield(self, "witnesses", witnesses)

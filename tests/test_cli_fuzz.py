@@ -1,10 +1,12 @@
-"""Every subcommand that reads a JSON file keeps the exit-code contract on any small JSON value.
+"""The CLI keeps the exit-code contract on any small JSON value and any small numeric flag.
 
 One input file at a time, or one field of it, is replaced by an arbitrary
 small JSON value and cli.main runs in process: it must return 0, 1, 2 or 3 without an
 exception, and a nonzero exit must say why: a refusal or an input error
-on stderr, a failed verdict in its report on stdout. Integers stay in
-[-10, 10] and numeric strings stay short, so no case reaches the scans
+on stderr, a failed verdict in its report on stdout. The numeric flags of
+walls, nl, nl-search, unicita, sweep-econ and verify-all get the same
+contract on small argv values, with argparse's usage error counted as exit 2.
+Integers stay small and numeric strings stay short, so no case reaches the scans
 that nothing bounds yet (a wall level of 10**9, say).
 """
 
@@ -88,3 +90,55 @@ def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
         assert out.getvalue()  # a failed verdict: the report says why
     elif code:
         assert err.getvalue().startswith(("error:", "refused:")), err.getvalue()
+
+
+# Argv values for the numeric flags: ints in [-10, 40], weighted toward the small positive
+# ones most parameters need, short p/q strings, and strings that are not integers.
+# Magnitudes stay small for the same reason as above: `walls --a 1e7` is a scan that
+# nothing bounds yet.
+INTS = (st.integers(0, 8) | st.integers(-10, 40)).map(str)
+ARG_VALUES = (
+    INTS
+    | st.builds("{}/{}".format, st.integers(-10, 40), st.integers(-3, 9))
+    | st.sampled_from(["1.5", "1e1", "nan", "inf", "", "abc", "0x10", "1/0"])
+)
+# the subcommand with its fixed arguments, then the flags that take a drawn value
+ARGV_COMMANDS = {
+    "walls": (["walls"], ["--e", "--d", "--a"]),
+    "walls-suitability": (["walls", "--suitability"], ["--e", "--d", "--a"]),
+    "nl-k3": (["nl", "--kind", "k3"], ["--e", "--d", "--r0", "--vsq"]),
+    "nl-hk": (["nl", "--kind", "hk"], ["--e", "--d", "--i"]),
+    "nl-search": (["nl-search"], ["--r0", "--e", "--cap"]),
+    "unicita": (["unicita"], ["--i", "--r0", "--e", "--cap"]),
+    "sweep-econ": (["sweep-econ"], ["--r0max", "--emax"]),
+    "verify-all": (["verify-all"], ["--filter"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_numeric_argv_keeps_the_exit_code_contract(command, data):
+    fixed, flags = ARGV_COMMANDS[command]
+    # at most one flag takes an arbitrary value, so most runs get past argparse's int check
+    odd = data.draw(st.sampled_from([None, *flags]), label="odd flag")
+    argv = list(fixed)
+    for flag in flags:
+        if flag == "--cap" and not data.draw(st.booleans(), label="with --cap"):
+            continue
+        argv += [flag, data.draw(ARG_VALUES if flag == odd else INTS, label=flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed value with exit 2
+            code = exc.code
+    stderr = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + stderr
+    if code == 1 and not stderr:
+        assert out.getvalue()  # a failed verdict: the report says why
+    elif code:
+        assert stderr.startswith(("error:", "refused:", "usage:")), stderr
+    else:
+        assert not stderr

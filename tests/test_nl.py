@@ -22,6 +22,7 @@ from hkmod.nl import (
     rigsuk_bound,
     rigsuk_min_d0,
 )
+from hkmod.verify import _brute_min_d, _brute_min_d0
 from hkmod.walls import EllipticNS
 
 
@@ -149,12 +150,10 @@ def test_nef_isotropic_properties(half_e, d):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10), st.integers(1, 8))
 def test_rigsuk_minimality(m0, r0):
-    bound = rigsuk_bound(m0, r0)
     d0 = rigsuk_min_d0(m0, r0)
-    assert d0 > bound
+    assert d0 > rigsuk_bound(m0, r0)
     assert gcd(d0, r0) == 1
-    start = bound.numerator // bound.denominator + 1
-    assert all(gcd(t, r0) != 1 for t in range(start, d0))
+    assert d0 == _brute_min_d0(m0, r0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,14 +172,10 @@ def test_buonacompt_minimality(r0, e_seed):
     if e is None:
         return
     d = buonacompt_min_d(r0, e, i)
-    bound = buonacompt_bound(r0, e)
-    assert d > bound
+    assert d > buonacompt_bound(r0, e)
     assert d % i == 0
     assert (2 * d) % e != 0
-    start = bound.numerator // bound.denominator + 1
-    for t in range(start, d):
-        if t % i == 0:
-            assert (2 * t) % e == 0
+    assert d == _brute_min_d(r0, e, i)
 
 
 @pytest.mark.parametrize("bad", [0.5, "abc"])

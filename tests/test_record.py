@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from hkmod import fujiki, hilb2, mukai, nl, pipelines, reduction, report, verify, walls
+from hkmod.errors import InputError
 from hkmod.lattice import vec
 
 lattice = importlib.import_module("hkmod.lattice")  # hkmod.lattice the attribute is a function
@@ -24,6 +25,7 @@ V = vec((1, 0))
 W = vec((0, 1))
 NS = lattice.lattice([[2, 1], [1, 0]])
 MV = mukai.MukaiVector(2, V, 0)
+STEP = reduction.ModificationStep(1, 0)
 WALL = walls.WallClass(vec((1, -1)), -4, -1, 3)
 CHECK = report.Check("c", True, {"x": 1})
 REPORT = report.TheoremReport("t", (CHECK,))
@@ -249,3 +251,19 @@ def test_to_json_dict_is_pinned(cls):
 def test_to_json_dict_keeps_a_missing_ray_as_none():
     got = pipelines.TwistResult(MV, 1, None, 1, True).to_json_dict()
     assert repr(got) == repr({**PINNED_JSON[pipelines.TwistResult], "ray": None})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: walls.SuitabilityReport(False, True, ()), "must carry a witness"),
+        (lambda: reduction.ReductionTrace(MV, MV, (), (5, 3)), "one more square than steps"),
+        (lambda: reduction.ReductionTrace(MV, MV, (STEP,), (3, 5)), "decrease strictly"),
+        (lambda: reduction.ReductionTrace(MV, MV, (STEP,), (0, -4)), "at least -2"),
+    ],
+    ids=["unsuitable_without_witness", "squares_and_steps", "squares_increase", "square_below_-2"],
+)
+def test_inconsistent_record_is_an_input_error(build, message):
+    # an exception, not an assert, so python -O refuses it too
+    with pytest.raises(InputError, match=message):
+        build()

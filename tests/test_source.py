@@ -1,4 +1,5 @@
-"""Static checks on the hkmod sources: no float enters the exact arithmetic."""
+"""Static checks on the hkmod sources: no float enters the exact arithmetic, no refusal
+rests on an `assert` that python -O strips, and the modules import without a cycle."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,20 @@ def test_scan_sees_floats():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_is_float_free(path):
     assert float_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def assert_lines(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_scan_sees_asserts():
+    tree = ast.parse("x = 1\nassert x\n\ndef f():\n    assert x, 'msg'\n")
+    assert sorted(assert_lines(tree)) == [2, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_has_no_assert(path):
+    assert assert_lines(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def relative_imports(tree: ast.AST) -> set[str]:

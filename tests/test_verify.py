@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import subprocess
@@ -22,6 +23,26 @@ def test_all_suites_pass():
     assert len(summary.suites) == 8
     for suite in summary.suites:
         assert suite.checks, suite.theorem
+
+
+TABLE = [(suite, fn) for suite, fns in SUITES.items() for fn in fns]
+
+
+@pytest.mark.parametrize("suite, fn", TABLE, ids=[f"{s}.{fn.__name__}" for s, fn in TABLE])
+def test_check(suite, fn):
+    check = verify._check(suite, fn)
+    assert check.passed, check.data
+
+
+def test_every_check_is_in_the_table_once():
+    public = {
+        name for name, obj in vars(verify).items()
+        if inspect.isfunction(obj) and obj.__module__ == verify.__name__
+        and not name.startswith("_") and name != "verify_all"
+    }
+    listed = [fn.__name__ for _, fn in TABLE]
+    assert len(set(listed)) == len(listed)  # check names are unique across suites
+    assert set(listed) == public  # no public function is left out of the table
 
 
 def test_filtered_run():
@@ -205,7 +226,8 @@ MUTATIONS = {
 def test_identity_check_catches_a_wrong_answer(monkeypatch, mutation):
     module, name, wrong, suite, check = MUTATIONS[mutation]
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    (report,) = verify_all(suite).suites
-    failed = {c.name: c.data for c in report.checks if not c.passed}
-    assert check in failed
-    assert "error" not in failed[check]  # refuted by a comparison, not by a crash
+    fn = getattr(verify, check)
+    assert fn in SUITES[suite]
+    result = verify._check(suite, fn)
+    assert not result.passed
+    assert "error" not in result.data  # refuted by a comparison, not by a crash

@@ -8,7 +8,6 @@ from hkmod.errors import InputError
 from hkmod.lattice import lattice, pair, vec
 from hkmod.walls import (
     EllipticNS,
-    SuitabilityReport,
     as_elliptic,
     elliptic_from_json,
     enumerate_wall_classes,
@@ -222,18 +221,6 @@ def sign(x):
     return (x > 0) - (x < 0)
 
 
-def two_sign_suitability(ns, a, h):
-    # the rule suitability_for used before: h and f pair with each wall to one sign
-    lat = ns.lattice
-    witnesses, generic = [], True
-    for wall in enumerate_wall_classes(ns, a):
-        ph, pf = pair(lat, wall.lam, h), pair(lat, wall.lam, ns.f)
-        generic = generic and ph != 0
-        if sign(ph) != sign(pf):
-            witnesses.append(wall)
-    return SuitabilityReport(not witnesses, generic, tuple(witnesses))
-
-
 def two_sign_same_chamber(ns, a, h0, h1):
     # the rule same_chamber used before: h0 and h1 pair with each wall to one nonzero sign
     lat = ns.lattice
@@ -264,7 +251,7 @@ def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
     ns = EllipticNS(e, d)
     h0, h1 = data.draw(polarization(ns)), data.draw(polarization(ns))
     if ns.q(h0) > 0:
-        assert suitability_for(ns, a, h0) == two_sign_suitability(ns, a, h0)
+        assert suitability_for(ns, a, h0) == verify._two_sign_suitability(ns, a, h0)
     else:
         with pytest.raises(InputError):
             suitability_for(ns, a, h0)
