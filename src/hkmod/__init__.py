@@ -17,13 +17,11 @@ from .fujiki import (
     double_factorial,
     fiber_restriction_integral,
     fujiki_constant,
-    lambda_ef,
     matchings_sum,
     modular_delta_integral,
     parse_kind,
     perfect_matchings,
     propsemi_bound_check,
-    slope_comparison,
     top_intersection,
 )
 from .hilb2 import (
@@ -43,7 +41,6 @@ from .hilb2 import (
     resemibis_ranks,
     restrango_check,
     rosetta_check,
-    semihom_twist_count,
     unicita_report,
 )
 from .jsonio import canonical_json, load_json_file, to_rational
@@ -51,8 +48,6 @@ from .lattice import (
     IntLattice,
     LatVec,
     content,
-    divisibility,
-    is_primitive,
     lattice,
     lattice_from_json,
     latvec_from_json,
@@ -65,7 +60,6 @@ from .lattice import (
 from .mukai import (
     MukaiNumerics,
     MukaiVector,
-    expected_dim_surface,
     from_chern,
     mukai_from_json,
     mukai_pairing,
@@ -118,11 +112,9 @@ from .walls import (
     WallClass,
     as_elliptic,
     enumerate_wall_classes,
-    has_minus_two_class,
     is_suitable,
     min_negative_norm,
     no_wall_threshold,
-    same_chamber,
     suitability_for,
     wall_ray,
 )

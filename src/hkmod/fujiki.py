@@ -155,19 +155,6 @@ def modular_delta_integral(setup: FujikiSetup, mc: ModularClass, alphas: Sequenc
     return mc.d_f * matchings_sum(setup.q, alphas)
 
 
-def lambda_ef(r_e: int, c1_e: LatVec, r_f: int, c1_f: LatVec) -> LatVec:
-    """Slope-comparison class r_F*c1(E) - r_E*c1(F)."""
-    return r_f * c1_e - r_e * c1_f
-
-
-def slope_comparison(setup: FujikiSetup, lam: LatVec, h: LatVec) -> int:
-    """Sign of q(lambda, h); positive means the first slope is larger."""
-    if setup.q(h, h) <= 0:
-        raise InputError("slope comparison needs q(h) > 0")
-    value = setup.q(lam, h)
-    return (value > 0) - (value < 0)
-
-
 def fiber_restriction_integral(setup: FujikiSetup, lam: LatVec, h: LatVec, f: LatVec) -> Fraction:
     """Integral of lambda * h^(n-1) * f^n against an isotropic fiber class f."""
     if setup.q(f, f) != 0:

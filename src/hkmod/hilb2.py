@@ -217,15 +217,12 @@ def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
     return [r0] if r0**n == r * gcd(r0, d1) * gcd(r0, d2) else []
 
 
-def resemibis_ranks(kind: str, n: int | None = None, r_max: int | None = None) -> list[int]:
+def resemibis_ranks(kind: str, r_max: int, *, n: int | None = None) -> list[int]:
     """Ranks r <= r_max of the form r0^n/dd with dd | gcd(r0^n, c_X).
 
-    When the kind carries its own n (like 'K3^[3]'), the two-argument
-    form resemibis_ranks(kind, r_max) is accepted.
+    n is needed only for a kind that does not fix it: the table keys 'K3^[n]' and 'Kum_n'.
     """
-    if r_max is None:
-        n, r_max = None, n
-    if r_max is None or r_max < 1:
+    if r_max < 1:
         raise InputError("r_max must be positive")
     c = fujiki_constant(kind, n)
     _, n_val = parse_kind(kind, n)
@@ -238,13 +235,6 @@ def resemibis_ranks(kind: str, n: int | None = None, r_max: int | None = None) -
                 found.add(p // dd)
         r0 += 1
     return sorted(found)
-
-
-def semihom_twist_count(r: int) -> int:
-    """Number of twist classes acting on a rank-r semihomogeneous family."""
-    if r < 1:
-        raise InputError("rank must be positive")
-    return r * r
 
 
 class McKaySquare(Record):
@@ -260,18 +250,14 @@ def mckay_ext_dims(ext_dims) -> McKaySquare:
     """Ext dimensions of the induced sheaf on the Hilbert square from those
     on the surface.
 
-    Input: surface Ext dimensions, either (a0, a2, a4) in even degrees or
-    all five degrees 0..4 with zero odd entries. The output in degree 2k is
+    Input: the surface Ext dimensions (a0, a2, a4) in the even degrees; the
+    odd ones vanish on a surface. The output in degree 2k is
     the symmetric-square coefficient: the sum of a_{2p}*a_{2q} over p < q
     with p + q = k, plus binom(a_k + 1, 2) when k is even.
     """
     dims = tuple(ext_dims)
-    if len(dims) == 5:
-        if dims[1] != 0 or dims[3] != 0:
-            raise InputError("odd-degree Ext dimensions must vanish on a surface")
-        dims = (dims[0], dims[2], dims[4])
     if len(dims) != 3:
-        raise InputError("expected 3 even-degree or 5 graded Ext dimensions")
+        raise InputError("expected the 3 even-degree Ext dimensions")
     for x in dims:
         if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise InputError("Ext dimensions must be nonnegative integers")

@@ -103,9 +103,6 @@ class IntLattice(Record):
         setfield(self, "rank", rank)
         setfield(self, "gram", gram)
 
-    def basis_vector(self, i: int) -> LatVec:
-        return vec(1 if j == i else 0 for j in range(self.rank))
-
 
 def lattice(gram: Sequence[Sequence[int]]) -> IntLattice:
     """Lattice of an integral symmetric Gram matrix given as an array of arrays.
@@ -150,26 +147,6 @@ def norm(L: IntLattice, v: LatVec) -> int | Fraction:
 def content(v: LatVec) -> int:
     """Gcd of the integer coordinates (0 for the zero vector)."""
     return gcd(*v.int_coords())
-
-
-def divisibility(L: IntLattice, v: LatVec) -> int:
-    """Nonnegative generator of the pairing ideal: gcd of |pair(v, b_i)| over the basis."""
-    _check_len(L, v)
-    if not v.integral:
-        raise InputError("divisibility requires an integral vector")
-    # zero vector pairs to zero with everything: returns 0 by convention
-    g = 0
-    for i in range(L.rank):
-        g = gcd(g, pair(L, v, L.basis_vector(i)))
-    return g
-
-
-def is_primitive(L: IntLattice, v: LatVec) -> bool:
-    """True iff the integer coordinates are coprime."""
-    _check_len(L, v)
-    if v.is_zero:
-        raise InputError("primitivity is undefined for the zero vector")
-    return content(v) == 1
 
 
 def primitive_part(L: IntLattice, v: LatVec) -> LatVec:

@@ -104,13 +104,6 @@ def numerics(ns: IntLattice, v: MukaiVector) -> MukaiNumerics:
     return MukaiNumerics.from_square(v.r, mukai_square(ns, v))
 
 
-def expected_dim_surface(delta: int, r: int, chi_o: int, q_irr: int) -> int:
-    """Expected moduli dimension delta - (r^2 - 1)*chi(O) + q irregularity term."""
-    if r < 1:
-        raise InputError("rank must be positive")
-    return delta - (r * r - 1) * chi_o + q_irr
-
-
 def twist_by_mf(ns: IntLattice, v: MukaiVector, m: int, f: LatVec) -> MukaiVector:
     """Tensor by the m-th power of the line bundle with isotropic class f."""
     if norm(ns, f) != 0:

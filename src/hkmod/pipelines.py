@@ -31,7 +31,6 @@ from .walls import (
     SuitabilityReport,
     as_elliptic,
     elliptic_from_json,
-    enumerate_wall_classes,
     suitability_for,
 )
 
@@ -85,11 +84,8 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
         raise InputError("polarization must have positive self-pairing")
     num = numerics(lat, v)
     c = 0 if v.l.is_zero else content(v.l)
-    orthogonal = []
-    if num.a_v > 0:
-        for wall in enumerate_wall_classes(ns, num.a_v):
-            if pair(lat, wall.lam, h) == 0:
-                orthogonal.append(wall)
+    # a wall orthogonal to h pairs to 0 <= 0 with it, so it is a witness
+    orthogonal = [w for w in _suitability(ns, num.a_v, h).witnesses if pair(lat, w.lam, h) == 0]
     checks = (
         Check(
             "square_at_least_rigid_bound",

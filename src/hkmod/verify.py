@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from . import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
 from .errors import InputError
-from .jsonio import canonical_json
+from .jsonio import canonical_json, to_rational
 from .lattice import (
     content,
     discriminant,
@@ -311,14 +312,15 @@ def _sign(x) -> int:
 
 def _two_sign_suitability(ns, a, h) -> walls.SuitabilityReport:
     """The rule walls.suitability_for used before it read one pairing:
-    a wall witnesses unsuitability when h and f pair with it to different signs."""
+    a wall witnesses unsuitability when h and f pair with it to different signs.
+    The walls come from the box scan _brute_walls, not from the enumeration under test."""
     lat = ns.lattice
     witnesses, generic = [], True
-    for wall in walls.enumerate_wall_classes(ns, a):
-        ph, pf = pair(lat, wall.lam, h), pair(lat, wall.lam, ns.f)
+    for lam in map(vec, _brute_walls(ns.e, ns.d, to_rational(a))):
+        ph, pf = pair(lat, lam, h), pair(lat, lam, ns.f)
         generic = generic and ph != 0
         if _sign(ph) != _sign(pf):
-            witnesses.append(wall)
+            witnesses.append(walls.WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pf))
     return walls.SuitabilityReport(not witnesses, generic, tuple(witnesses))
 
 
@@ -520,7 +522,21 @@ def admissibility_examples(rng):
         return False, {"case": "30/32"}
     if not nl.nl_hk_admissible(6, 74, 2).ok or nl.nl_hk_admissible(6, 72, 2).ok:
         return False, {"case": "hk"}
-    return nl.nl_hk_admissible(6, 71, 1).ok
+    if not nl.nl_hk_admissible(6, 71, 1).ok:
+        return False, {"case": "hk 71"}
+    # the joint condition is the hk condition, an empty wall set at level a0, and gcd(m*i, d/i) = 1
+    for e, i, a0, m in product((6, 8), (1, 2), (Fraction(7, 2), Fraction(60)), (1, 3)):
+        thr = walls.no_wall_threshold(e, a0)
+        start = max(thr, 10 * (e + 1)) // i * i
+        for d in range(start - 2 * i, start + 3 * i, i):
+            want = nl.nl_hk_admissible(e, d, i).ok and d >= thr and gcd(m * i, d // i) == 1
+            if nl.propriostab_admissible(e, d, i, a0, m).ok != want:
+                return False, {"case": "propriostab", "e": e, "d": d, "i": i, "a0": a0, "m": m}
+    if not nl.propriostab_admissible(6, 74, 2, 12, 1).ok:
+        return False, {"case": "propriostab 74"}
+    if walls.enumerate_wall_classes(walls.EllipticNS(6, 74), 12):
+        return False, {"case": "propriostab 74 walls"}
+    return True
 
 
 def _brute_potenza(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
@@ -627,8 +643,8 @@ def rank_equation_brute_force(rng):
 
 def power_rank_lists(rng):
     cases = (
-        (("K3^[2]", 2, 20), [1, 4, 9, 16]),
-        (("Kum_2", 2, 10), [1, 3, 4, 9]),
+        (("K3^[2]", 20), [1, 4, 9, 16]),
+        (("Kum_2", 10), [1, 3, 4, 9]),
         (("K3^[3]", 30), [1, 8, 27]),
     )
     for args, want in cases:

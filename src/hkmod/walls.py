@@ -2,9 +2,9 @@
 
 The lattice has Gram matrix [[e, d], [d, 0]] in the basis (h, f); f is
 isotropic and h.f = d > 0. Wall classes are primitive integral classes
-of bounded negative norm; everything downstream (suitability of a
-polarization, chamber comparison, thresholds) is a statement about
-their signs against the two cone edges.
+of bounded negative norm; everything downstream (suitability and
+genericity of a polarization, thresholds) is a statement about their
+signs against the two cone edges.
 """
 
 from __future__ import annotations
@@ -155,25 +155,6 @@ def is_suitable(ns: EllipticNS, a) -> SuitabilityReport:
     return suitability_for(ns, a, ns.h)
 
 
-def same_chamber(ns: EllipticNS, a, h0: LatVec, h1: LatVec) -> bool:
-    """True iff no wall of level a separates the two polarizations.
-
-    Both classes must lie in the h-side of the positive cone: positive
-    self-pairing and positive pairing with f. They share a chamber iff
-    every wall pairs with both to nonzero values of one sign.
-    """
-    lat = ns.lattice
-    for label, h in (("h0", h0), ("h1", h1)):
-        if ns.q(h) <= 0:
-            raise InputError(f"{label} must have positive self-pairing")
-        if pair(lat, h, ns.f) <= 0:
-            raise InputError(f"{label} must pair positively with the fiber class")
-    return all(
-        pair(lat, wall.lam, h0) * pair(lat, wall.lam, h1) > 0
-        for wall in enumerate_wall_classes(ns, a)
-    )
-
-
 def min_negative_norm(ns: EllipticNS) -> int:
     """Smallest |q(w)| over integral classes with q(w) < 0.
 
@@ -195,10 +176,6 @@ def min_negative_norm(ns: EllipticNS) -> int:
             best = cand
         x += 1
     return best
-
-
-def has_minus_two_class(ns: EllipticNS) -> bool:
-    return min_negative_norm(ns) == 2
 
 
 def no_wall_threshold(e: int, a) -> int:

@@ -11,13 +11,11 @@ from hkmod.fujiki import (
     double_factorial,
     fiber_restriction_integral,
     fujiki_constant,
-    lambda_ef,
     matchings_sum,
     modular_delta_integral,
     parse_kind,
     perfect_matchings,
     propsemi_bound_check,
-    slope_comparison,
     top_intersection,
 )
 from hkmod.lattice import lattice, vec
@@ -112,21 +110,6 @@ def test_modular_delta_integral():
         modular_delta_integral(setup, mc, [h])
     with pytest.raises(InputError):
         ModularClass(d_f=Fraction(1), r=0)
-
-
-def test_lambda_ef():
-    lam = lambda_ef(2, vec((1, 0)), 5, vec((0, 1)))
-    assert lam == vec((5, -2))
-
-
-def test_slope_comparison():
-    setup = setup_for(((6, 1), (1, 0)), 2, 1)
-    h = vec((1, 0))
-    assert slope_comparison(setup, vec((0, 1)), h) == 1
-    assert slope_comparison(setup, vec((0, -1)), h) == -1
-    assert slope_comparison(setup, vec((0, 0)), h) == 0
-    with pytest.raises(InputError):
-        slope_comparison(setup, vec((0, 1)), vec((0, 1)))  # q(h) = 0
 
 
 def test_fiber_restriction_integral():

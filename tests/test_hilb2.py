@@ -20,7 +20,6 @@ from hkmod.hilb2 import (
     resemibis_ranks,
     restrango_check,
     rosetta_check,
-    semihom_twist_count,
     unicita_report,
 )
 from hkmod.lattice import pair, vec
@@ -207,16 +206,15 @@ def test_potenza_solve_matches_scan(n, d1, k, r, a, construct):
 
 def test_resemibis_ranks():
     assert resemibis_ranks("K3^[3]", 30) == [1, 8, 27]
-    assert resemibis_ranks("OG6", 3, 30) == [1, 2, 4, 8, 16, 27]
+    assert resemibis_ranks("OG6", 30, n=3) == [1, 2, 4, 8, 16, 27]
     assert resemibis_ranks("K3^[2]", 10) == [1, 4, 9]
     assert resemibis_ranks("Kum_2", 12) == [1, 3, 4, 9, 12]
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):
         resemibis_ranks("K3^[2]")
+    with pytest.raises(TypeError):
+        resemibis_ranks("OG6", 3, 30)  # the old (kind, n, r_max) form
     with pytest.raises(InputError):
         resemibis_ranks("K3^[2]", 0)
-    assert semihom_twist_count(3) == 9
-    with pytest.raises(InputError):
-        semihom_twist_count(0)
 
 
 def test_mckay_frozen():
@@ -234,9 +232,8 @@ def test_mckay_frozen():
         out = mckay_ext_dims(dims)
         assert out.dims == expected, dims
         assert not out.end0_vanishing
-    assert mckay_ext_dims((1, 0, 0, 0, 1)).dims == (1, 0, 1, 0, 1)
     with pytest.raises(InputError):
-        mckay_ext_dims((1, 2, 0, 0, 1))  # nonzero odd degree
+        mckay_ext_dims((1, 0, 0, 0, 1))  # only the 3 even degrees
     with pytest.raises(InputError):
         mckay_ext_dims((1, 0, 1, 0))
     with pytest.raises(InputError):

@@ -9,8 +9,6 @@ from hkmod.lattice import (
     LatVec,
     content,
     discriminant,
-    divisibility,
-    is_primitive,
     lattice,
     lattice_from_json,
     latvec_from_json,
@@ -102,24 +100,12 @@ def test_elliptic_lattice_is_cached():
     assert ns.lattice is ns.lattice
 
 
-def test_divisibility_examples():
-    assert divisibility(HYP, vec((0, 1))) == 3
-    assert divisibility(HYP, vec((1, 0))) == 1
-    assert divisibility(HYP, vec((0, 0))) == 0
-    with pytest.raises(InputError):
-        divisibility(HYP, vec((Fraction(1, 2), 0)))
-
-
 def test_content_and_primitive():
     assert content(vec((4, 6))) == 2
     assert content(vec((0, 0))) == 0
     assert primitive_part(HYP, vec((4, 6))) == vec((2, 3))
-    assert is_primitive(HYP, vec((2, 3)))
-    assert not is_primitive(HYP, vec((2, 4)))
     with pytest.raises(InputError):
         primitive_part(HYP, vec((0, 0)))
-    with pytest.raises(InputError):
-        is_primitive(HYP, vec((0, 0)))
 
 
 def test_saturation():
@@ -141,9 +127,7 @@ def test_discriminant():
             assert discriminant(lattice(((2 * m0, d), (d, 0)))) == -d * d
 
 
-def test_basis_vector_and_json_roundtrip():
-    e0 = HYP.basis_vector(0)
-    assert e0 == vec((1, 0))
+def test_json_roundtrip():
     data = HYP.to_json_dict()
     assert lattice_from_json(data) == HYP
     v = vec((1, Fraction(1, 2)))

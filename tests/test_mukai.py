@@ -8,7 +8,6 @@ from hkmod.lattice import lattice, vec
 from hkmod.mukai import (
     MukaiNumerics,
     MukaiVector,
-    expected_dim_surface,
     from_chern,
     mukai_from_json,
     mukai_pairing,
@@ -72,7 +71,6 @@ def test_numerics():
         numerics(E4D1, MukaiVector(0, H, 1))
     with pytest.raises(MathCheckError):
         MukaiNumerics.from_square(2, 3)
-    assert expected_dim_surface(12, 2, 2, 0) == 12 - 3 * 2
 
 
 def test_twist_example():

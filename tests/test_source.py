@@ -1,7 +1,13 @@
-"""Static checks on the hkmod sources: no float enters the exact arithmetic, no refusal
-rests on an `assert` that python -O strips, and the modules import without a cycle."""
+"""Checks on the hkmod sources: no float enters the exact arithmetic, no refusal rests on
+an `assert` that python -O strips, the modules import without a cycle, and every public
+function and record is run by a subcommand or by verify-all."""
 
 import ast
+import importlib
+import inspect
+import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -99,3 +105,101 @@ def test_module_imports_are_acyclic():
     }
     cycle = find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def codes_run(action) -> set:
+    """Code objects of every Python function that action() calls, seen with sys.setprofile."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(old)
+    return seen
+
+
+def public_code(module) -> dict:
+    """The code of each public function of a module and of each public class's own __init__."""
+    stem = module.__name__.rsplit(".", 1)[-1]
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found[f"{stem}.{name}"] = obj.__code__
+        elif inspect.isclass(obj) and "__init__" in vars(obj):
+            found[f"{stem}.{name}"] = obj.__init__.__code__
+    return found
+
+
+def never_run(modules, seen) -> list[str]:
+    """Names from public_code whose code is not in seen."""
+    return sorted(name for m in modules for name, code in public_code(m).items()
+                  if code not in seen)
+
+
+def test_reachability_scan_sees_an_unrun_function():
+    module = types.ModuleType("probe")
+    exec(
+        "class Run:\n    def __init__(self): pass\n"
+        "class Idle:\n    def __init__(self): pass\n"
+        "class Plain: pass\n"
+        "def used(): return Run()\n"
+        "def unused(): return Idle()\n"
+        "def _private(): pass\n",
+        vars(module),
+    )
+    assert never_run([module], codes_run(module.used)) == ["probe.Idle", "probe.unused"]
+
+
+def test_every_public_name_is_run_by_the_cli_or_verify_all(tmp_path):
+    from hkmod.cli import build_parser, main
+    from hkmod.verify import verify_all
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    ns, v = write("ns.json", {"e": 4, "d": 1}), write("v.json", {"r": 2, "l": [1, 0], "s": 0})
+    scenario = {
+        "lattices": {"ns": {"e": 4, "d": 1}},
+        "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]},
+    }
+    commands = [
+        ["fujiki", "--setup", write("setup.json", {"kind": "K3^[2]", "gram": [[6]]}),
+         "--classes", write("classes.json", [[1], [1], [1], [1]])],
+        ["mukai", "--ns", ns, "--v", v, "--w", write("w.json", {"r": 1, "l": [0, 1], "s": 1})],
+        ["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability",
+         "--h", write("h.json", [1, 5])],
+        ["reduce", "--ns", ns, "--v", write("v3.json", {"r": 3, "l": [1, 0], "s": 0}),
+         "--steps", write("steps.json", [{"r_b": 1, "deg_b": 0}])],
+        ["rigid", "--ns", ns, "--v", v],
+        ["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"],
+        ["nl-search", "--r0", "2", "--e", "6"],
+        ["unicita", "--i", "2", "--r0", "2", "--e", "6"],
+        ["vbk3ell", "--scenario", write("vb.json", {**scenario, "pipeline": "vbk3ell"})],
+        ["casoprim", "--scenario", write("cp.json", {**scenario, "pipeline": "casoprim"})],
+        ["sweep-econ", "--r0max", "2", "--emax", "20"],
+        ["verify-all", "--filter", "lattice", "--json"],
+    ]
+
+    def run():
+        verify_all()
+        for argv in commands:
+            assert main(argv) in (0, 1), argv
+
+    seen = codes_run(run)
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted(argv[0] for argv in commands) == sorted(subcommands)
+    # __init__ only re-exports, and importing __main__ would run the CLI
+    modules = [
+        importlib.import_module(f"hkmod.{p.stem}") for p in SOURCES if not p.stem.startswith("__")
+    ]
+    assert never_run(modules, seen) == []

@@ -130,6 +130,12 @@ def bump_s(w):
     return mukai.MukaiVector(w.r, w.l, w.s + 1)
 
 
+def ignoring(rep, reason):
+    """The same admissibility report with one condition no longer counted."""
+    reasons = tuple(r for r in rep.reasons if r != reason)
+    return changed(rep, ok=not reasons, reasons=reasons)
+
+
 # (module verify calls the routine through, routine, wrong version, suite, check).
 # The library computes these answers without re-proving them; each mutation
 # gives one of them a wrong answer that only the named verify-all check sees.
@@ -162,6 +168,11 @@ MUTATIONS = {
     "k3_admissible_always": (
         nl, "nl_k3_admissible",
         lambda f: lambda e, d, num: nl.Admissibility(True, ()),
+        "nl", "admissibility_examples",
+    ),
+    "propriostab_ignores_gcd": (
+        nl, "propriostab_admissible",
+        lambda f: lambda e, d, i, a0, m: ignoring(f(e, d, i, a0, m), "gcd(m*i, d/i) = 1"),
         "nl", "admissibility_examples",
     ),
     "twist_changes_square": (

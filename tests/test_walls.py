@@ -11,11 +11,9 @@ from hkmod.walls import (
     as_elliptic,
     elliptic_from_json,
     enumerate_wall_classes,
-    has_minus_two_class,
     is_suitable,
     min_negative_norm,
     no_wall_threshold,
-    same_chamber,
     suitability_for,
     wall_ray,
 )
@@ -119,8 +117,8 @@ def test_min_negative_norm_frozen():
         assert min_negative_norm(ns) == expected, (e, d)
         bound = -((-2 * d) // (1 + e))
         assert expected >= bound
-    assert has_minus_two_class(EllipticNS(4, 1))
-    assert not has_minus_two_class(EllipticNS(2, 3))
+    assert min_negative_norm(EllipticNS(4, 1)) == 2
+    assert min_negative_norm(EllipticNS(2, 3)) != 2
     with pytest.raises(InputError):
         min_negative_norm(EllipticNS(-2, 1))
 
@@ -160,18 +158,6 @@ def test_suitability_reports():
     # half-integral h: q((1, -3), h) = 1/2 is positive, not truncated to 0
     rep4 = suitability_for(ns, 4, vec((Fraction(1, 2), 0)))
     assert [w.lam.int_coords() for w in rep4.witnesses] == [(1, -4)]
-
-
-def test_same_chamber():
-    ns = EllipticNS(4, 1)
-    assert same_chamber(ns, 2, vec((1, 0)), vec((1, 1)))
-    assert not same_chamber(ns, 2, vec((2, -3)), vec((1, 0)))
-    # (1, 0) is orthogonal to the wall (1, -4) at level 12
-    assert not same_chamber(ns, 12, vec((1, 0)), vec((1, 0)))
-    with pytest.raises(InputError):
-        same_chamber(ns, 2, vec((0, 1)), vec((1, 0)))
-    with pytest.raises(InputError):
-        same_chamber(ns, 2, vec((1, 0)), vec((-1, 1)))
 
 
 def test_wall_ray():
@@ -217,20 +203,6 @@ def test_min_norm_bound(half_e, d):
     assert walls and min(-w.norm for w in walls) == value
 
 
-def sign(x):
-    return (x > 0) - (x < 0)
-
-
-def two_sign_same_chamber(ns, a, h0, h1):
-    # the rule same_chamber used before: h0 and h1 pair with each wall to one nonzero sign
-    lat = ns.lattice
-    for wall in enumerate_wall_classes(ns, a):
-        s0, s1 = sign(pair(lat, wall.lam, h0)), sign(pair(lat, wall.lam, h1))
-        if s0 == 0 or s1 == 0 or s0 != s1:
-            return False
-    return True
-
-
 exact = st.integers(-6, 12) | st.builds("{}/{}".format, st.integers(-20, 40), st.integers(2, 5))
 level = st.integers(1, 12) | st.builds("{}/{}".format, st.integers(1, 40), st.integers(2, 5))
 
@@ -249,14 +221,19 @@ def polarization(draw, ns):
 @given(st.data(), st.integers(-6, 10), st.integers(1, 6), level)
 def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
     ns = EllipticNS(e, d)
-    h0, h1 = data.draw(polarization(ns)), data.draw(polarization(ns))
-    if ns.q(h0) > 0:
-        assert suitability_for(ns, a, h0) == verify._two_sign_suitability(ns, a, h0)
+    h = data.draw(polarization(ns))
+    if ns.q(h) > 0:
+        assert suitability_for(ns, a, h) == verify._two_sign_suitability(ns, a, h)
     else:
         with pytest.raises(InputError):
-            suitability_for(ns, a, h0)
-    if all(ns.q(h) > 0 and ns.q(h, ns.f) > 0 for h in (h0, h1)):
-        assert same_chamber(ns, a, h0, h1) is two_sign_same_chamber(ns, a, h0, h1)
-    else:
-        with pytest.raises(InputError):
-            same_chamber(ns, a, h0, h1)
+            suitability_for(ns, a, h)
+
+
+def test_two_sign_oracle_does_not_read_the_enumeration(monkeypatch):
+    ns, h = EllipticNS(2, 3), vec((12, -3))
+    want = verify._two_sign_suitability(ns, 6, h)
+    monkeypatch.setattr(
+        "hkmod.walls.enumerate_wall_classes", lambda ns, a: enumerate_wall_classes(ns, a)[:-1]
+    )
+    assert suitability_for(ns, 6, h) != want  # the dropped wall is a witness
+    assert verify._two_sign_suitability(ns, 6, h) == want
