@@ -128,7 +128,9 @@ def cmd_fujiki(args) -> int:
     if n is not None:
         n = to_int(n, "n")
     if "kind" in setup_data:
-        setup = FujikiSetup.for_kind(setup_data["kind"], pairing, n)
+        setup = FujikiSetup.for_kind(setup_data["kind"], pairing)
+        if n not in (None, setup.n):
+            raise InputError(f"kind {setup_data['kind']!r} fixes n = {setup.n}, got n = {n}")
     else:
         if n is None or "c_x" not in setup_data:
             raise InputError("setup needs 'kind' or both 'n' and 'c_x'")
@@ -178,6 +180,8 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_walls(args) -> int:
+    if args.h is not None and not args.suitability:
+        raise InputError("--h is read only with --suitability")
     ns = EllipticNS(args.e, args.d)
     a = to_rational(args.a)
     found = enumerate_wall_classes(ns, a)
@@ -249,11 +253,15 @@ def cmd_rigid(args) -> int:
 
 def cmd_nl(args) -> int:
     if args.kind == "k3":
+        if args.i is not None:
+            raise InputError("--kind k3 does not read --i")
         if args.r0 is None or args.vsq is None:
             raise InputError("--kind k3 needs --r0 and --vsq")
         num = MukaiNumerics.from_square(args.r0, args.vsq)
         rep = nl_k3_admissible(args.e, args.d, num)
     else:
+        if args.r0 is not None or args.vsq is not None:
+            raise InputError("--kind hk does not read --r0 or --vsq")
         if args.i is None:
             raise InputError("--kind hk needs --i")
         rep = nl_hk_admissible(args.e, args.d, args.i)
@@ -329,9 +337,8 @@ def cmd_verify_all(args) -> int:
         for suite in summary.suites:
             mark = "ok" if suite.verdict else "FAIL"
             print(f"[{mark}] {suite.theorem} ({len(suite.checks)} checks)")
-            for c in suite.checks:
-                if not c.passed:
-                    print(f"       failed: {c.name} {c.data}")
+            for c in suite.failed():
+                print(f"       failed: {c.name} {c.data}")
         print(f"{'all suites passed' if summary.ok else 'FAILURES: ' + ', '.join(summary.failures())}")
     return 0 if summary.ok else 1
 

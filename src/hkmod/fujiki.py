@@ -29,39 +29,26 @@ FUJIKI_CONSTANTS: dict[str, Callable[[int], int]] = {
 }
 
 _KIND_RE = re.compile(r"^(K3\^\[(\d+)\]|Kum_(\d+))$")
+_FIXED_N = {"K3": 1, "OG6": 3}
 
 
-def parse_kind(kind: str, n: int | None = None) -> tuple[str, int]:
-    """Resolve a family name like 'K3^[3]' or 'Kum_2' to (table key, n)."""
+def parse_kind(kind: str) -> tuple[str, int]:
+    """Resolve a family name like 'K3^[3]', 'Kum_2' or 'OG6' to (table key, n)."""
     if not isinstance(kind, str):
         raise InputError(f"deformation type must be a string, got {kind!r}")
     m = _KIND_RE.match(kind)
     if m:
-        key = "K3^[n]" if m.group(2) else "Kum_n"
-        n_from_name = int(m.group(2) or m.group(3))
-        if n is not None and n != n_from_name:
-            raise InputError(f"kind {kind!r} fixes n = {n_from_name}, got n = {n}")
-        return key, n_from_name
-    if kind == "K3":
-        if n not in (None, 1):
-            raise InputError("a K3 surface has n = 1")
-        return "K3", 1
-    if kind == "OG6":
-        if n not in (None, 3):
-            raise InputError("OG6 has n = 3")
-        return "OG6", 3
-    if kind in FUJIKI_CONSTANTS:
-        if n is None:
-            raise InputError(f"kind {kind!r} needs an explicit n")
-        return kind, n
+        return ("K3^[n]" if m.group(2) else "Kum_n"), int(m.group(2) or m.group(3))
+    if kind in _FIXED_N:
+        return kind, _FIXED_N[kind]
     raise InputError(f"unknown deformation type {kind!r}")
 
 
-def fujiki_constant(kind: str, n: int | None = None) -> int:
-    key, n_val = parse_kind(kind, n)
-    if n_val < 1:
+def fujiki_constant(kind: str) -> int:
+    key, n = parse_kind(kind)
+    if n < 1:
         raise InputError("n must be positive")
-    return FUJIKI_CONSTANTS[key](n_val)
+    return FUJIKI_CONSTANTS[key](n)
 
 
 class FujikiSetup(Record):
@@ -78,9 +65,9 @@ class FujikiSetup(Record):
         setfield(self, "pairing", pairing)
 
     @classmethod
-    def for_kind(cls, kind: str, pairing: IntLattice, n: int | None = None) -> "FujikiSetup":
-        key, n_val = parse_kind(kind, n)
-        return cls(n=n_val, c_x=FUJIKI_CONSTANTS[key](n_val), pairing=pairing)
+    def for_kind(cls, kind: str, pairing: IntLattice) -> "FujikiSetup":
+        key, n = parse_kind(kind)
+        return cls(n=n, c_x=FUJIKI_CONSTANTS[key](n), pairing=pairing)
 
     def q(self, v: LatVec, w: LatVec) -> Fraction:
         return pair(self.pairing, v, w)

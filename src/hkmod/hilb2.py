@@ -95,14 +95,12 @@ def f2_invariants(r0: int) -> F2Invariants:
     return F2Invariants(rank=rank, delta_coeff=delta_coeff, d_mod=d_mod, a_mod=a_mod)
 
 
-def h_polarization(r0: int, i: int, m0: int, sign: str = "+") -> LatVec:
+def h_polarization(r0: int, i: int, sign: str = "+") -> LatVec:
     """Coordinates (mu_D, mu_C, delta-half) of the slope-zero polarization:
     (i, 0, -i*(r0 -+ 1)/2)."""
     check_r0(r0)
     check_i(i)
     shift = _shifted_r0(r0, sign)
-    if not isinstance(m0, int) or isinstance(m0, bool) or m0 < 0:
-        raise InputError("m0 must be a nonnegative integer")
     check_parity(r0, i)
     return vec((i, 0, -i * shift // 2))
 
@@ -116,16 +114,8 @@ class Hilb2NS(Record):
         setfield(self, "lattice", lattice)
 
     @property
-    def mu_d(self) -> LatVec:
-        return vec((1, 0, 0))
-
-    @property
     def mu_c(self) -> LatVec:
         return vec((0, 1, 0))
-
-    @property
-    def delta_half(self) -> LatVec:
-        return vec((0, 0, 1))
 
 
 def hilb2_ns(m0: int, d0: int) -> Hilb2NS:
@@ -163,7 +153,7 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     check_parity(r0, i)
     m0, _ = m0_s0(r0, e)
     ns = hilb2_ns(m0, d0)
-    h = h_polarization(r0, i, m0)
+    h = h_polarization(r0, i)
     f = ns.mu_c
     q_h = pair(ns.lattice, h, h)
     q_hf = pair(ns.lattice, h, f)
@@ -217,19 +207,16 @@ def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
     return [r0] if r0**n == r * gcd(r0, d1) * gcd(r0, d2) else []
 
 
-def resemibis_ranks(kind: str, r_max: int, *, n: int | None = None) -> list[int]:
-    """Ranks r <= r_max of the form r0^n/dd with dd | gcd(r0^n, c_X).
-
-    n is needed only for a kind that does not fix it: the table keys 'K3^[n]' and 'Kum_n'.
-    """
+def resemibis_ranks(kind: str, r_max: int) -> list[int]:
+    """Ranks r <= r_max of the form r0^n/dd with dd | gcd(r0^n, c_X), for the n the kind fixes."""
     if r_max < 1:
         raise InputError("r_max must be positive")
-    c = fujiki_constant(kind, n)
-    _, n_val = parse_kind(kind, n)
+    c = fujiki_constant(kind)
+    _, n = parse_kind(kind)
     found = set()
     r0 = 1
-    while r0**n_val <= r_max * c:
-        p = r0**n_val
+    while r0**n <= r_max * c:
+        p = r0**n
         for dd in range(1, c + 1):
             if c % dd == 0 and p % dd == 0 and p // dd <= r_max:
                 found.add(p // dd)

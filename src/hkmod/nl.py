@@ -184,8 +184,6 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
         ("e does not divide 2d", 2 * d % e != 0),
         ("gcd(m*i, d/i) = 1", gcd(m * i, d // i) == 1),
     ]
-    if i == 2:
-        conditions.append(("d is even", d % 2 == 0))
     return _decide(
         conditions, {"e": e, "d": d, "i": i, "a0": a0, "m": m, "bound": bound}
     )

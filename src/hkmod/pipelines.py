@@ -1,9 +1,9 @@
 """End-to-end pipelines combining vectors, walls and twists.
 
-A scenario bundles named lattices and vectors; running it dispatches
-to one of the named pipelines and returns a TheoremReport whose checks
-gate the verdict and whose data block carries everything that is
-merely reported.
+A scenario holds a lattice, a Mukai vector and an optional
+polarization; running it dispatches to one of the named pipelines and
+returns a TheoremReport whose checks gate the verdict and whose data
+block carries everything that is merely reported.
 """
 
 from __future__ import annotations
@@ -156,38 +156,45 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
 
 
 class Scenario(Record):
-    """Named inputs for one pipeline run."""
+    """One pipeline run: the pipeline's name, the lattice 'ns', the Mukai
+    vector 'v' and an optional polarization 'h'."""
 
-    def __init__(
-        self, lattices: dict | None = None, vectors: dict | None = None, pipeline: str = ""
-    ):
-        setfield(self, "lattices", {} if lattices is None else lattices)
-        setfield(self, "vectors", {} if vectors is None else vectors)
+    def __init__(self, pipeline: str, ns, v: MukaiVector, h: LatVec | None = None):
         setfield(self, "pipeline", pipeline)
+        setfield(self, "ns", ns)
+        setfield(self, "v", v)
+        setfield(self, "h", h)
 
 
 def scenario_from_json(data) -> Scenario:
+    """Read 'ns' from the object "lattices" and 'v' and 'h' from "vectors";
+    other names there are ignored."""
     if not isinstance(data, dict):
         raise InputError("a scenario is a JSON object")
     pipeline = data.get("pipeline")
     if not isinstance(pipeline, str) or not pipeline:
         raise InputError("scenario needs a pipeline name")
-    for key in ("lattices", "vectors"):
-        if not isinstance(data.get(key) or {}, dict):
+    lattices, vectors = data.get("lattices") or {}, data.get("vectors") or {}
+    for key, named in (("lattices", lattices), ("vectors", vectors)):
+        if not isinstance(named, dict):
             raise InputError(f"scenario {key!r} must be a JSON object")
-    lattices = {}
-    for name, entry in (data.get("lattices") or {}).items():
-        if isinstance(entry, dict) and "gram" in entry:
-            lattices[name] = lattice_from_json(entry)
-        else:
-            lattices[name] = elliptic_from_json(entry)
-    vectors = {}
-    for name, entry in (data.get("vectors") or {}).items():
-        if isinstance(entry, dict):
-            vectors[name] = mukai_from_json(entry)
-        else:
-            vectors[name] = latvec_from_json(entry)
-    return Scenario(lattices=lattices, vectors=vectors, pipeline=pipeline)
+    if "ns" not in lattices:
+        raise InputError("scenario needs a lattice named 'ns'")
+    if "v" not in vectors:
+        raise InputError("scenario needs a vector named 'v'")
+    entry = lattices["ns"]
+    if isinstance(entry, dict) and "gram" in entry:
+        ns = lattice_from_json(entry)
+    else:
+        ns = elliptic_from_json(entry)
+    if not isinstance(vectors["v"], dict):
+        raise InputError("'v' must be a Mukai vector with keys r, l, s")
+    h = None
+    if "h" in vectors:
+        if isinstance(vectors["h"], dict):
+            raise InputError("'h' must be a plain lattice vector")
+        h = latvec_from_json(vectors["h"])
+    return Scenario(pipeline, ns, mukai_from_json(vectors["v"]), h)
 
 
 def load_scenario(path) -> Scenario:
@@ -195,27 +202,11 @@ def load_scenario(path) -> Scenario:
 
 
 def run_scenario(sc: Scenario) -> TheoremReport:
-    """Dispatch a scenario to its pipeline.
-
-    Both pipelines want a lattice named 'ns' and a Mukai vector named
-    'v'; a polarization 'h' is optional for vbk3ell and required for
-    casoprim.
-    """
-    if "ns" not in sc.lattices:
-        raise InputError("scenario needs a lattice named 'ns'")
-    if "v" not in sc.vectors:
-        raise InputError("scenario needs a vector named 'v'")
-    ns = sc.lattices["ns"]
-    v = sc.vectors["v"]
-    if not isinstance(v, MukaiVector):
-        raise InputError("'v' must be a Mukai vector with keys r, l, s")
-    h = sc.vectors.get("h")
-    if h is not None and isinstance(h, MukaiVector):
-        raise InputError("'h' must be a plain lattice vector")
+    """Dispatch a scenario to its pipeline; casoprim requires the polarization 'h'."""
     if sc.pipeline == "vbk3ell":
-        return vbk3ell_pipeline(ns, v, h)
+        return vbk3ell_pipeline(sc.ns, sc.v, sc.h)
     if sc.pipeline == "casoprim":
-        if h is None:
+        if sc.h is None:
             raise InputError("casoprim needs a polarization vector named 'h'")
-        return casoprim_pipeline(ns, v, h)
+        return casoprim_pipeline(sc.ns, sc.v, sc.h)
     raise InputError(f"unknown pipeline {sc.pipeline!r}")

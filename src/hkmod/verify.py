@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import floor, gcd
 
 from . import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
 from .errors import InputError
@@ -48,12 +48,7 @@ class VerifySummary(Record):
         return all(s.verdict for s in self.suites)
 
     def failures(self) -> list[str]:
-        return [
-            f"{s.theorem}.{c.name}"
-            for s in self.suites
-            for c in s.checks
-            if not c.passed
-        ]
+        return [f"{s.theorem}.{c.name}" for s in self.suites for c in s.failed()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,12 +123,12 @@ def saturation_detects_imprimitive_span(rng):
 
 
 def constants_table(rng):
-    expect = [("K3", 1, 1), ("OG6", 3, 4)]
-    expect += [(f"K3^[{n}]", n, 1) for n in range(1, 7)]
-    expect += [(f"Kum_{n}", n, n + 1) for n in range(1, 7)]
-    for kind, n, value in expect:
-        if fujiki.fujiki_constant(kind, n) != value:
-            return False, {"kind": kind, "n": n, "expected": value}
+    expect = [("K3", 1), ("OG6", 4)]
+    expect += [(f"K3^[{n}]", 1) for n in range(1, 7)]
+    expect += [(f"Kum_{n}", n + 1) for n in range(1, 7)]
+    for kind, value in expect:
+        if fujiki.fujiki_constant(kind) != value:
+            return False, {"kind": kind, "expected": value}
     return True
 
 
@@ -473,12 +468,12 @@ def _brute_min_d(r0: int, e: int, i: int) -> int | None:
 
 
 def _brute_min_d0(m0: int, r0: int) -> int:
-    """Smallest d0 above nl.rigsuk_bound(m0, r0) coprime to r0, by scanning."""
+    """Smallest d0 above nl.rigsuk_bound(m0, r0) coprime to r0, by scanning the box
+    floor(bound) - r0 < d0 <= floor(bound) + r0: the r0 integers above floor(bound)
+    include one that is 1 mod r0."""
     bound = nl.rigsuk_bound(m0, r0)
-    d0 = bound.numerator // bound.denominator + 1
-    while gcd(d0, r0) != 1:
-        d0 += 1
-    return d0
+    top = floor(bound) + r0
+    return min(d0 for d0 in range(top - 2 * r0 + 1, top + 1) if d0 > bound and gcd(d0, r0) == 1)
 
 
 def isotropic_ray_unique_iff_indivisible(rng):
@@ -563,7 +558,7 @@ def twist_numerics_integral_sweep(rng):
                 m0, s0 = hilb2.m0_s0(r0, e, sign)
                 shift = r0 - 1 if sign == "+" else r0 + 1
                 exact_m0 = Fraction(e, 2 if r0 % 2 else 8) + Fraction(shift * shift, 4)
-                h = hilb2.h_polarization(r0, i, m0, sign)
+                h = hilb2.h_polarization(r0, i, sign)
                 if m0 != exact_m0 or (m0 + 1) != s0 * r0 or 2 * h.coords[2] != -i * shift:
                     return False, {"r0": r0, "e": e, "sign": sign}
             count += 1

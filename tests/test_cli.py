@@ -144,6 +144,24 @@ def test_fujiki_output(capsys, files):
 
 
 @pytest.mark.parametrize(
+    "setup, code, err",
+    [
+        ({"kind": "K3^[2]", "n": 2}, 0, ""),
+        ({"kind": "K3^[2]", "n": 3}, 2, "error: kind 'K3^[2]' fixes n = 2, got n = 3\n"),
+        ({"kind": "OG6", "n": 2}, 2, "error: kind 'OG6' fixes n = 3, got n = 2\n"),
+        ({"kind": "K3^[n]", "n": 2}, 2, "error: unknown deformation type 'K3^[n]'\n"),
+        ({"kind": "Kum_n", "n": 2}, 2, "error: unknown deformation type 'Kum_n'\n"),
+    ],
+    ids=["same-n", "K3^[2]-n3", "OG6-n2", "K3^[n]", "Kum_n"],
+)
+def test_fujiki_kind_names_its_own_n(capsys, files, tmp_path, setup, code, err):
+    path = tmp_path / "setup.json"
+    path.write_text(json.dumps({**setup, "gram": [[6]]}))
+    got = run(capsys, ["fujiki", "--setup", str(path), "--classes", files["fujiki_classes"]])
+    assert got[0] == code and got[2] == err
+
+
+@pytest.mark.parametrize(
     "command, data",
     [
         ("reduce", [{"r_b": 1.5, "deg_b": 0}]),
@@ -419,6 +437,27 @@ GATE_REFUSALS = [
     (["nl", "--kind", "hk", "--i", "3", "--e", "4", "--d", "51"], 2,
      "error: divisibility must be 1 or 2, got 3"),
 ]
+
+
+UNREAD_FLAGS = [
+    (["walls", "--e", "4", "--d", "1", "--a", "12", "--h", "@h"],
+     "error: --h is read only with --suitability"),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2", "--r0", "5"],
+     "error: --kind hk does not read --r0 or --vsq"),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2", "--vsq", "3"],
+     "error: --kind hk does not read --r0 or --vsq"),
+    (["nl", "--kind", "k3", "--e", "4", "--d", "31", "--r0", "2", "--vsq", "4", "--i", "1"],
+     "error: --kind k3 does not read --i"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, err", UNREAD_FLAGS, ids=[" ".join(argv) for argv, _ in UNREAD_FLAGS]
+)
+def test_flags_the_mode_does_not_read_are_refused(capsys, files, argv, err):
+    """A flag that the chosen mode would ignore is bad input, not silently dropped."""
+    argv = [files["h_bad"] if a == "@h" else a for a in argv]
+    assert run(capsys, argv) == (2, "", err + "\n")
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,12 @@ def test_constants_table():
     assert fujiki_constant("K3^[2]") == 1
     assert fujiki_constant("K3^[5]") == 1
     assert fujiki_constant("Kum_2") == 3
-    assert fujiki_constant("Kum_n", 4) == 5
+    assert fujiki_constant("Kum_4") == 5
     assert fujiki_constant("OG6") == 4
+    with pytest.raises(InputError):
+        fujiki_constant("K3^[0]")
+    with pytest.raises(TypeError):
+        fujiki_constant("Kum_n", 4)  # a kind names its own n
 
 
 def test_parse_kind():
@@ -41,16 +45,9 @@ def test_parse_kind():
     assert parse_kind("Kum_2") == ("Kum_n", 2)
     assert parse_kind("K3") == ("K3", 1)
     assert parse_kind("OG6") == ("OG6", 3)
-    with pytest.raises(InputError):
-        parse_kind("K3", 2)
-    with pytest.raises(InputError):
-        parse_kind("OG6", 2)
-    with pytest.raises(InputError):
-        parse_kind("K3^[2]", 3)
-    with pytest.raises(InputError):
-        parse_kind("OG10")
-    with pytest.raises(InputError):
-        parse_kind("K3^[n]")  # generic key needs explicit n
+    for kind in ("OG10", "K3^[n]", "Kum_n", 5):  # the table keys are not kinds
+        with pytest.raises(InputError):
+            parse_kind(kind)
 
 
 def test_double_factorial():

@@ -101,17 +101,19 @@ def test_f2_invariants_frozen():
 
 
 def test_h_polarization():
-    assert h_polarization(2, 2, 1).int_coords() == (2, 0, -1)
-    assert h_polarization(2, 2, 1, sign="-").int_coords() == (2, 0, -3)
-    assert h_polarization(1, 1, 1).int_coords() == (1, 0, 0)
-    assert h_polarization(3, 1, 5).int_coords() == (1, 0, -1)
-    assert h_polarization(3, 1, 5, sign="-").int_coords() == (1, 0, -2)
+    assert h_polarization(2, 2).int_coords() == (2, 0, -1)
+    assert h_polarization(2, 2, sign="-").int_coords() == (2, 0, -3)
+    assert h_polarization(1, 1).int_coords() == (1, 0, 0)
+    assert h_polarization(3, 1).int_coords() == (1, 0, -1)
+    assert h_polarization(3, 1, "-").int_coords() == (1, 0, -2)
     with pytest.raises(MathCheckError):
-        h_polarization(2, 1, 1)
+        h_polarization(2, 1)
     with pytest.raises(InputError):
-        h_polarization(2, 2, -1)
+        h_polarization(0, 2)
     with pytest.raises(InputError):
-        h_polarization(2, 2, 1, sign="±")
+        h_polarization(2, 2, sign="±")
+    with pytest.raises(TypeError):
+        h_polarization(2, 2, 1, "+")  # the old (r0, i, m0, sign) form
 
 
 def test_hilb2_ns_and_divisibility():
@@ -121,8 +123,8 @@ def test_hilb2_ns_and_divisibility():
         (Fraction(211), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(-2)),
     )
-    assert pair(ns.lattice, ns.mu_d, ns.mu_c) == 211
-    assert pair(ns.lattice, ns.delta_half, ns.delta_half) == -2
+    assert pair(ns.lattice, vec((1, 0, 0)), ns.mu_c) == 211
+    assert pair(ns.lattice, vec((0, 0, 1)), vec((0, 0, 1))) == -2
     with pytest.raises(InputError):
         hilb2_ns(-1, 5)
     with pytest.raises(InputError):
@@ -206,13 +208,17 @@ def test_potenza_solve_matches_scan(n, d1, k, r, a, construct):
 
 def test_resemibis_ranks():
     assert resemibis_ranks("K3^[3]", 30) == [1, 8, 27]
-    assert resemibis_ranks("OG6", 30, n=3) == [1, 2, 4, 8, 16, 27]
+    assert resemibis_ranks("OG6", 30) == [1, 2, 4, 8, 16, 27]
     assert resemibis_ranks("K3^[2]", 10) == [1, 4, 9]
     assert resemibis_ranks("Kum_2", 12) == [1, 3, 4, 9, 12]
     with pytest.raises(TypeError):
         resemibis_ranks("K3^[2]")
     with pytest.raises(TypeError):
         resemibis_ranks("OG6", 3, 30)  # the old (kind, n, r_max) form
+    with pytest.raises(TypeError):
+        resemibis_ranks("OG6", 30, n=3)  # a kind names its own n
+    with pytest.raises(InputError):
+        resemibis_ranks("Kum_n", 30)
     with pytest.raises(InputError):
         resemibis_ranks("K3^[2]", 0)
 
@@ -327,4 +333,4 @@ def test_m0_s0_integrality_sweep(r0, e):
         assert m0 + 1 == r0 * s0
         assert econ_check(r0, e)
         i = governing_divisibility(r0)
-        assert h_polarization(r0, i, m0, sign).coords[2] == Fraction(-i * shift, 2)
+        assert h_polarization(r0, i, sign).coords[2] == Fraction(-i * shift, 2)

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from hkmod.errors import InputError
 from hkmod.lattice import (
-    IntLattice,
-    LatVec,
     content,
     discriminant,
     lattice,

@@ -105,16 +105,15 @@ def test_multacca_edges():
 def test_scenario_parsing(tmp_path):
     raw = {
         "pipeline": "casoprim",
-        "lattices": {"ns": {"e": 4, "d": 1}, "aux": {"gram": [[2, 0], [0, -2]]}},
-        "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]},
+        "lattices": {"ns": {"e": 4, "d": 1}, "aux": {"gram": [[2, 0], [0, -2]]}, "junk": 5},
+        "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5], "w": "junk"},
     }
-    sc = scenario_from_json(raw)
-    assert sc.pipeline == "casoprim"
-    assert sc.lattices["ns"] == EllipticNS(4, 1)
-    assert sc.lattices["aux"].rank == 2
-    assert sc.vectors["v"] == V
-    assert sc.vectors["h"] == vec((1, 5))
+    sc = scenario_from_json(raw)  # names other than ns, v and h are ignored
+    assert sc == Scenario("casoprim", EllipticNS(4, 1), V, vec((1, 5)))
+    assert sc._fields == ("pipeline", "ns", "v", "h")
     assert run_scenario(sc).verdict
+    gram = scenario_from_json({**raw, "lattices": {"ns": {"gram": [[4, 1], [1, 0]]}}})
+    assert gram.ns == E4D1
 
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
@@ -134,45 +133,22 @@ def test_run_scenario_dispatch():
         "lattices": {"ns": {"e": 4, "d": 1}},
         "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}},
     }
-    assert run_scenario(scenario_from_json(base)).verdict
-    with pytest.raises(InputError):
-        run_scenario(Scenario(pipeline="vbk3ell"))
-    with pytest.raises(InputError):
-        run_scenario(
-            Scenario(pipeline="vbk3ell", lattices={"ns": EllipticNS(4, 1)})
-        )
-    with pytest.raises(InputError):
-        run_scenario(
-            Scenario(
-                pipeline="vbk3ell",
-                lattices={"ns": EllipticNS(4, 1)},
-                vectors={"v": vec((1, 0))},
-            )
-        )
-    with pytest.raises(InputError):
-        run_scenario(
-            Scenario(
-                pipeline="casoprim",
-                lattices={"ns": EllipticNS(4, 1)},
-                vectors={"v": V},
-            )
-        )
-    with pytest.raises(InputError):
-        run_scenario(
-            Scenario(
-                pipeline="vbk3ell",
-                lattices={"ns": EllipticNS(4, 1)},
-                vectors={"v": V, "h": V},
-            )
-        )
-    with pytest.raises(InputError):
-        run_scenario(
-            Scenario(
-                pipeline="mystery",
-                lattices={"ns": EllipticNS(4, 1)},
-                vectors={"v": V},
-            )
-        )
+    sc = scenario_from_json(base)
+    assert sc.h is None and run_scenario(sc).verdict
+    refusals = [
+        ({**base, "lattices": {}}, "needs a lattice named 'ns'"),
+        ({**base, "vectors": {}}, "needs a vector named 'v'"),
+        ({**base, "vectors": {"v": [1, 0]}}, "'v' must be a Mukai vector"),
+        ({**base, "vectors": {**base["vectors"], "h": base["vectors"]["v"]}},
+         "'h' must be a plain lattice vector"),
+    ]
+    for raw, message in refusals:
+        with pytest.raises(InputError, match=message):
+            scenario_from_json(raw)
+    with pytest.raises(InputError, match="casoprim needs a polarization vector named 'h'"):
+        run_scenario(Scenario("casoprim", EllipticNS(4, 1), V))
+    with pytest.raises(InputError, match="unknown pipeline 'mystery'"):
+        run_scenario(Scenario("mystery", EllipticNS(4, 1), V))
 
 
 @settings(max_examples=200, deadline=None)

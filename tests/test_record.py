@@ -86,11 +86,11 @@ SPECS = {
         [MV, 1, V, 1, True],
         [MV, 1, None, 1, True],
     ),
+    # Scenario's fields since it holds only what the pipelines read
     pipelines.Scenario: (
-        [("lattices", field(default_factory=dict)), ("vectors", field(default_factory=dict)),
-         ("pipeline", "")],
-        [{"ns": NS}, {"v": MV}, "vbk3ell"],
-        [{"ns": NS}, {"v": MV}, "casoprim"],
+        ["pipeline", "ns", "v", ("h", None)],
+        ["vbk3ell", NS, MV, V],
+        ["casoprim", NS, MV, V],
     ),
     verify.VerifySummary: (["suites"], [(REPORT,)], [()]),
 }

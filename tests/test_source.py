@@ -1,6 +1,7 @@
 """Checks on the hkmod sources: no float enters the exact arithmetic, no refusal rests on
-an `assert` that python -O strips, the modules import without a cycle, and every public
-function and record is run by a subcommand or by verify-all."""
+an `assert` that python -O strips, no import goes unread, the modules import without a
+cycle, and every public function, record, method and property is run by a subcommand or
+by verify-all."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import inspect
 import json
 import sys
 import types
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,40 @@ def test_scan_sees_asserts():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_has_no_assert(path):
     assert assert_lines(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Each name an import binds (other than from __future__) that the module never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_scan_sees_unused_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport json as js\n"
+        "from math import floor, gcd\n\ndef f():\n    import sys\n    return gcd(os.sep)\n"
+    )
+    assert unused_imports(tree) == ["line 3: js", "line 4: floor", "line 7: sys"]
+
+
+TESTS = sorted((Path(__file__).resolve().parent).glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.stem != "__init__"] + TESTS,
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def relative_imports(tree: ast.AST) -> set[str]:
@@ -125,7 +161,8 @@ def codes_run(action) -> set:
 
 
 def public_code(module) -> dict:
-    """The code of each public function of a module and of each public class's own __init__."""
+    """The code of each public function of a module and, for each public class, of its own
+    __init__, its public methods (plain, class and static) and its property getters."""
     stem = module.__name__.rsplit(".", 1)[-1]
     found = {}
     for name, obj in vars(module).items():
@@ -133,8 +170,19 @@ def public_code(module) -> dict:
             continue
         if inspect.isfunction(obj):
             found[f"{stem}.{name}"] = obj.__code__
-        elif inspect.isclass(obj) and "__init__" in vars(obj):
-            found[f"{stem}.{name}"] = obj.__init__.__code__
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    key = f"{stem}.{name}" if attr == "__init__" else f"{stem}.{name}.{attr}"
+                    found[key] = member.__code__
     return found
 
 
@@ -148,14 +196,24 @@ def test_reachability_scan_sees_an_unrun_function():
     module = types.ModuleType("probe")
     exec(
         "class Run:\n    def __init__(self): pass\n"
+        "    def ran(self): pass\n"
+        "    def idle(self): pass\n"
+        "    @property\n    def seen(self): return 1\n"
+        "    @property\n    def unseen(self): return 1\n"
+        "    @classmethod\n    def make(cls): return cls()\n"
+        "    @staticmethod\n    def idle_static(): pass\n"
+        "    def _helper(self): pass\n"
         "class Idle:\n    def __init__(self): pass\n"
         "class Plain: pass\n"
-        "def used(): return Run()\n"
+        "def used(): r = Run.make(); r.ran(); return r.seen\n"
         "def unused(): return Idle()\n"
         "def _private(): pass\n",
         vars(module),
     )
-    assert never_run([module], codes_run(module.used)) == ["probe.Idle", "probe.unused"]
+    assert never_run([module], codes_run(module.used)) == [
+        "probe.Idle", "probe.Run.idle", "probe.Run.idle_static", "probe.Run.unseen",
+        "probe.unused",
+    ]
 
 
 def test_every_public_name_is_run_by_the_cli_or_verify_all(tmp_path):

@@ -4,7 +4,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import floor, gcd
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,11 @@ def bump_s(w):
     return mukai.MukaiVector(w.r, w.l, w.s + 1)
 
 
+def first_coprime_from(start, r0):
+    """The least d0 >= start with gcd(d0, r0) = 1."""
+    return next(d0 for d0 in count(start) if gcd(d0, r0) == 1)
+
+
 def ignoring(rep, reason):
     """The same admissibility report with one condition no longer counted."""
     reasons = tuple(r for r in rep.reasons if r != reason)
@@ -169,6 +175,11 @@ MUTATIONS = {
         nl, "nl_k3_admissible",
         lambda f: lambda e, d, num: nl.Admissibility(True, ()),
         "nl", "admissibility_examples",
+    ),
+    "min_d0_may_equal_the_bound": (
+        nl, "rigsuk_min_d0",
+        lambda f: lambda m0, r0: first_coprime_from(floor(nl.rigsuk_bound(m0, r0)), r0),
+        "nl", "min_d0_search_is_minimal",
     ),
     "propriostab_ignores_gcd": (
         nl, "propriostab_admissible",
