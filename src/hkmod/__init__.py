@@ -12,7 +12,6 @@ from .errors import (
 from .fujiki import (
     FUJIKI_CONSTANTS,
     FujikiSetup,
-    ModularClass,
     discriminant_sum_identity,
     double_factorial,
     fiber_restriction_integral,
@@ -26,7 +25,6 @@ from .fujiki import (
 )
 from .hilb2 import (
     F2Invariants,
-    Hilb2NS,
     McKaySquare,
     ambient_divisibility,
     divisibility_type,

@@ -44,10 +44,10 @@ from .reduction import ModificationStep, bezout_r0_d0, reduction_trace, rigid_ve
 from .verify import verify_all
 from .walls import (
     EllipticNS,
-    elliptic_from_json,
     enumerate_wall_classes,
     is_suitable,
     min_negative_norm,
+    ns_from_json,
     suitability_for,
     wall_ray,
 )
@@ -70,24 +70,19 @@ def _scalar(value) -> str:
 
 
 def _human_lines(value, indent: int = 0) -> list[str]:
+    """'key: item' lines of a dict or '- item' lines of a list, nested containers indented."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_human_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}-")
-                lines.extend(_human_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+        labelled = ((f"{key}:", item) for key, item in value.items())
     else:
-        lines.append(f"{pad}{_scalar(value)}")
+        labelled = (("-", item) for item in value)
+    lines: list[str] = []
+    for label, item in labelled:
+        if isinstance(item, (dict, list)) and item:
+            lines.append(pad + label)
+            lines.extend(_human_lines(item, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar(item)}")
     return lines
 
 
@@ -100,13 +95,6 @@ def _emit(args, payload: dict) -> None:
     else:
         for line in _human_lines(encode(payload)):
             print(line)
-
-
-def _ns_lattice(data) -> IntLattice:
-    """Accept either a gram-matrix object or an {e, d} elliptic shorthand."""
-    if isinstance(data, dict) and "gram" in data:
-        return lattice_from_json(data)
-    return elliptic_from_json(data).lattice
 
 
 def _fiber_vec(args, ns: IntLattice):
@@ -153,7 +141,7 @@ def cmd_fujiki(args) -> int:
 
 
 def cmd_mukai(args) -> int:
-    ns = _ns_lattice(load_json_file(args.ns))
+    ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     if args.w is not None:
         w = mukai_from_json(load_json_file(args.w), ns.rank)
@@ -212,7 +200,7 @@ def cmd_walls(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    ns = _ns_lattice(load_json_file(args.ns))
+    ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     f = _fiber_vec(args, ns)
     steps_data = load_json_file(args.steps)
@@ -229,7 +217,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rigid(args) -> int:
-    ns = _ns_lattice(load_json_file(args.ns))
+    ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     f = _fiber_vec(args, ns)
     w = rigid_vector(ns, v, f)

@@ -28,7 +28,7 @@ FUJIKI_CONSTANTS: dict[str, Callable[[int], int]] = {
     "OG6": lambda n: 4,
 }
 
-_KIND_RE = re.compile(r"^(K3\^\[(\d+)\]|Kum_(\d+))$")
+_KIND_RE = re.compile(r"K3\^\[([0-9]+)\]|Kum_([0-9]+)")
 _FIXED_N = {"K3": 1, "OG6": 3}
 
 
@@ -36,9 +36,9 @@ def parse_kind(kind: str) -> tuple[str, int]:
     """Resolve a family name like 'K3^[3]', 'Kum_2' or 'OG6' to (table key, n)."""
     if not isinstance(kind, str):
         raise InputError(f"deformation type must be a string, got {kind!r}")
-    m = _KIND_RE.match(kind)
+    m = _KIND_RE.fullmatch(kind)
     if m:
-        return ("K3^[n]" if m.group(2) else "Kum_n"), int(m.group(2) or m.group(3))
+        return ("K3^[n]" if m.group(1) else "Kum_n"), int(m.group(1) or m.group(2))
     if kind in _FIXED_N:
         return kind, _FIXED_N[kind]
     raise InputError(f"unknown deformation type {kind!r}")
@@ -71,16 +71,6 @@ class FujikiSetup(Record):
 
     def q(self, v: LatVec, w: LatVec) -> Fraction:
         return pair(self.pairing, v, w)
-
-
-class ModularClass(Record):
-    """Modularity data of a sheaf: the constant d_F and the rank."""
-
-    def __init__(self, d_f: Fraction, r: int):
-        if r < 1:
-            raise InputError("rank must be positive")
-        setfield(self, "d_f", to_rational(d_f))
-        setfield(self, "r", r)
 
 
 def double_factorial(m: int) -> int:
@@ -135,11 +125,12 @@ def top_intersection(setup: FujikiSetup, classes: Sequence[LatVec]) -> Fraction:
     return setup.c_x * matchings_sum(setup.q, classes)
 
 
-def modular_delta_integral(setup: FujikiSetup, mc: ModularClass, alphas: Sequence[LatVec]) -> Fraction:
-    """Integral of the discriminant of a modular sheaf against 2n-2 classes."""
+def modular_delta_integral(setup: FujikiSetup, d_f, alphas: Sequence[LatVec]) -> Fraction:
+    """Integral of the discriminant of a modular sheaf with modularity
+    constant d_F against 2n-2 classes: d_F times their matchings sum."""
     if len(alphas) != 2 * setup.n - 2:
         raise InputError(f"expected {2 * setup.n - 2} classes, got {len(alphas)}")
-    return mc.d_f * matchings_sum(setup.q, alphas)
+    return to_rational(d_f) * matchings_sum(setup.q, alphas)
 
 
 def fiber_restriction_integral(setup: FujikiSetup, lam: LatVec, h: LatVec, f: LatVec) -> Fraction:

@@ -105,26 +105,14 @@ def h_polarization(r0: int, i: int, sign: str = "+") -> LatVec:
     return vec((i, 0, -i * shift // 2))
 
 
-class Hilb2NS(Record):
-    """Rank-3 sublattice spanned by (mu_D, mu_C, delta-half)."""
-
-    def __init__(self, m0: int, d0: int, lattice: IntLattice):
-        setfield(self, "m0", m0)
-        setfield(self, "d0", d0)
-        setfield(self, "lattice", lattice)
-
-    @property
-    def mu_c(self) -> LatVec:
-        return vec((0, 1, 0))
-
-
-def hilb2_ns(m0: int, d0: int) -> Hilb2NS:
+def hilb2_ns(m0: int, d0: int) -> IntLattice:
+    """Rank-3 sublattice spanned by (mu_D, mu_C, delta-half), with q(mu_D) = 2*m0,
+    q(mu_D, mu_C) = d0, the fiber class mu_C = (0, 1, 0) isotropic and q(delta-half) = -2."""
     if m0 < 0:
         raise InputError("m0 must be nonnegative")
     if d0 < 1:
         raise InputError("d0 must be positive")
-    gram = ((2 * m0, d0, 0), (d0, 0, 0), (0, 0, -2))
-    return Hilb2NS(m0=m0, d0=d0, lattice=lattice(gram))
+    return lattice(((2 * m0, d0, 0), (d0, 0, 0), (0, 0, -2)))
 
 
 def ambient_divisibility(v: LatVec) -> int:
@@ -154,10 +142,10 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     m0, _ = m0_s0(r0, e)
     ns = hilb2_ns(m0, d0)
     h = h_polarization(r0, i)
-    f = ns.mu_c
-    q_h = pair(ns.lattice, h, h)
-    q_hf = pair(ns.lattice, h, f)
-    q_f = pair(ns.lattice, f, f)
+    f = vec((0, 1, 0))
+    q_h = pair(ns, h, h)
+    q_hf = pair(ns, h, f)
+    q_f = pair(ns, f, f)
     div_h = ambient_divisibility(h)
     checks = (
         Check("q_h_equals_e", q_h == e, {"q_h": q_h, "e": e}),
@@ -166,7 +154,7 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
         Check("q_f_zero", q_f == 0, {"q_f": q_f}),
         Check(
             "h_f_saturated",
-            saturation_check(ns.lattice, h, f),
+            saturation_check(ns, h, f),
             {"h": h.to_json_dict(), "f": f.to_json_dict()},
         ),
     )
@@ -238,9 +226,8 @@ def mckay_ext_dims(ext_dims) -> McKaySquare:
     on the surface.
 
     Input: the surface Ext dimensions (a0, a2, a4) in the even degrees; the
-    odd ones vanish on a surface. The output in degree 2k is
-    the symmetric-square coefficient: the sum of a_{2p}*a_{2q} over p < q
-    with p + q = k, plus binom(a_k + 1, 2) when k is even.
+    odd ones vanish on a surface. The output in degrees 0..4 is the
+    symmetric square (C(a0+1,2), a0*a2, a0*a4 + C(a2+1,2), a2*a4, C(a4+1,2)).
     """
     dims = tuple(ext_dims)
     if len(dims) != 3:
@@ -248,19 +235,9 @@ def mckay_ext_dims(ext_dims) -> McKaySquare:
     for x in dims:
         if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise InputError("Ext dimensions must be nonnegative integers")
-    a = dims
-    out = []
-    for k in range(5):
-        total = 0
-        for p in range(0, k // 2 + (0 if k % 2 == 0 else 1)):
-            q = k - p
-            if p < q and q <= 2:
-                total += a[p] * a[q]
-        if k % 2 == 0:
-            total += comb(a[k // 2] + 1, 2)
-        out.append(total)
-    dims5 = tuple(out)
-    return McKaySquare(dims=dims5, end0_vanishing=dims5 == (1, 0, 1, 0, 1))
+    a0, a2, a4 = dims
+    out = (comb(a0 + 1, 2), a0 * a2, a0 * a4 + comb(a2 + 1, 2), a2 * a4, comb(a4 + 1, 2))
+    return McKaySquare(dims=out, end0_vanishing=out == (1, 0, 1, 0, 1))
 
 
 def unicita_report(

@@ -26,15 +26,6 @@ class LatVec(Record):
             raise InputError("coords must be a nonempty tuple")
         setfield(self, "coords", coords)
 
-    # the record semantics, written out: vectors are compared and hashed in hot loops
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
     @property
     def integral(self) -> bool:
         return all(type(c) is int for c in self.coords)
@@ -55,9 +46,6 @@ class LatVec(Record):
     def __rmul__(self, scalar) -> "LatVec":
         s = to_exact(scalar)
         return vec(s * c for c in self.coords)
-
-    def __neg__(self) -> "LatVec":
-        return vec(-c for c in self.coords)
 
     @property
     def is_zero(self) -> bool:

@@ -118,7 +118,9 @@ def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -
 
     Checks are ordered so the most structural failure is reported first:
     rank, coprimality hypothesis, fiber-direction difference, rank
-    divisibility, square, and finally the full round trip.
+    divisibility, and square. They leave no round trip to check: with
+    q(f, f) = 0 and w.l = v.l + x*f, equal squares force
+    w.s = v.s + (x/r)*q(v.l, f), which is twist_by_mf(v, x/r, f).
     """
     if norm(ns, f) != 0:
         raise InputError("twisting class must be isotropic: q(f,f) = 0")
@@ -141,7 +143,4 @@ def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -
         raise MathCheckError(f"fiber multiple {x} is not divisible by the rank {v.r}")
     if mukai_square(ns, w) != mukai_square(ns, v):
         raise MathCheckError("squares differ; the vectors are not twists of each other")
-    m = x // v.r
-    if twist_by_mf(ns, v, m, f) != w:
-        raise MathCheckError("last component does not match the recovered twist")
-    return m
+    return x // v.r

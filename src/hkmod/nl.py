@@ -9,7 +9,7 @@ prove the search empty, or stop at an explicit cap.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .errors import (
     InputError,
@@ -216,7 +216,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
             f"e = {e} divides 2*d for every d divisible by {i}: the search is empty"
         )
     bound = buonacompt_bound(r0, e)
-    d = bound.numerator // bound.denominator // i * i + i
+    d = floor(bound) // i * i + i
     needed = 1 if (2 * d) % e else 2
     if needed > cap:
         raise SearchCapExceeded(
@@ -237,7 +237,7 @@ def rigsuk_bound(m0: int, r0: int) -> Fraction:
 def rigsuk_min_d0(m0: int, r0: int) -> int:
     """Smallest d0 above rigsuk_bound with gcd(d0, r0) = 1."""
     bound = rigsuk_bound(m0, r0)
-    d0 = bound.numerator // bound.denominator + 1
+    d0 = floor(bound) + 1
     while gcd(d0, r0) != 1:
         d0 += 1
     return d0

@@ -17,7 +17,6 @@ from .lattice import (
     IntLattice,
     LatVec,
     content,
-    lattice_from_json,
     latvec_from_json,
     norm,
     pair,
@@ -30,7 +29,7 @@ from .walls import (
     EllipticNS,
     SuitabilityReport,
     as_elliptic,
-    elliptic_from_json,
+    ns_from_json,
     suitability_for,
 )
 
@@ -83,7 +82,7 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
     if ns.q(h) <= 0:
         raise InputError("polarization must have positive self-pairing")
     num = numerics(lat, v)
-    c = 0 if v.l.is_zero else content(v.l)
+    c = content(v.l)
     # a wall orthogonal to h pairs to 0 <= 0 with it, so it is a witness
     orthogonal = [w for w in _suitability(ns, num.a_v, h).witnesses if pair(lat, w.lam, h) == 0]
     checks = (
@@ -142,16 +141,14 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
             f"twist shifts the last component by the non-integer {s_shift}"
         )
     w = MukaiVector(v.r, v.l + (v.r * n) * h, v.s + s_shift.numerator)
-    if w.l.is_zero:
-        x, ray = 0, None
-    else:
-        x, ray = content(w.l), primitive_part(ns, w.l)
+    x = content(w.l)
+    ray = primitive_part(ns, w.l) if x else None
     return TwistResult(
         vector=w,
         x=x,
         ray=ray,
         gcd_r_x=gcd(v.r, x),
-        r_l_coprime=gcd(v.r, 0 if v.l.is_zero else content(v.l)) == 1,
+        r_l_coprime=gcd(v.r, content(v.l)) == 1,
     )
 
 
@@ -159,7 +156,7 @@ class Scenario(Record):
     """One pipeline run: the pipeline's name, the lattice 'ns', the Mukai
     vector 'v' and an optional polarization 'h'."""
 
-    def __init__(self, pipeline: str, ns, v: MukaiVector, h: LatVec | None = None):
+    def __init__(self, pipeline: str, ns: IntLattice, v: MukaiVector, h: LatVec | None = None):
         setfield(self, "pipeline", pipeline)
         setfield(self, "ns", ns)
         setfield(self, "v", v)
@@ -182,11 +179,7 @@ def scenario_from_json(data) -> Scenario:
         raise InputError("scenario needs a lattice named 'ns'")
     if "v" not in vectors:
         raise InputError("scenario needs a vector named 'v'")
-    entry = lattices["ns"]
-    if isinstance(entry, dict) and "gram" in entry:
-        ns = lattice_from_json(entry)
-    else:
-        ns = elliptic_from_json(entry)
+    ns = ns_from_json(lattices["ns"])
     if not isinstance(vectors["v"], dict):
         raise InputError("'v' must be a Mukai vector with keys r, l, s")
     h = None

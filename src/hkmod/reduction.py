@@ -24,9 +24,6 @@ class AtiyahResult(Record):
         setfield(self, "exists", exists)
         setfield(self, "unique", unique)
 
-    def __bool__(self) -> bool:
-        return self.exists
-
 
 def atiyah_exists(r: int, deg: int) -> AtiyahResult:
     if r < 1:

@@ -181,11 +181,9 @@ def fiber_integral_closed_form(rng):
 def modular_integral_scales_linearly(rng):
     lat = lattice(((6, 1), (1, 0)))
     setup = fujiki.FujikiSetup(n=2, c_x=Fraction(1), pairing=lat)
-    mc1 = fujiki.ModularClass(d_f=Fraction(30), r=2)
-    mc2 = fujiki.ModularClass(d_f=Fraction(60), r=2)
     h = vec((1, 0))
-    a1 = fujiki.modular_delta_integral(setup, mc1, [h, h])
-    a2 = fujiki.modular_delta_integral(setup, mc2, [h, h])
+    a1 = fujiki.modular_delta_integral(setup, 30, [h, h])
+    a2 = fujiki.modular_delta_integral(setup, 60, [h, h])
     return a2 == 2 * a1 and a1 == 180, {"a1": a1}
 
 
@@ -462,7 +460,7 @@ def _brute_min_d(r0: int, e: int, i: int) -> int | None:
     """Smallest d above nl.buonacompt_bound(r0, e) with i | d and e not dividing 2d,
     by scanning; None when no d qualifies."""
     bound = nl.buonacompt_bound(r0, e)
-    start = bound.numerator // bound.denominator + 1
+    start = floor(bound) + 1
     # both conditions depend on d mod i*e only, so one period decides
     return next((d for d in range(start, start + i * e) if d % i == 0 and 2 * d % e != 0), None)
 

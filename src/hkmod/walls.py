@@ -11,11 +11,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import ceil, floor, gcd
 
 from .errors import InputError
 from .jsonio import to_int, to_rational
-from .lattice import IntLattice, LatVec, lattice, norm, pair, primitive_part, vec
+from .lattice import (
+    IntLattice,
+    LatVec,
+    lattice,
+    lattice_from_json,
+    norm,
+    pair,
+    primitive_part,
+    vec,
+)
 from .record import Record, setfield
 
 
@@ -52,6 +61,13 @@ def elliptic_from_json(data) -> EllipticNS:
     if isinstance(data, dict) and "e" in data and "d" in data:
         return EllipticNS(to_int(data["e"], "e"), to_int(data["d"], "d"))
     raise InputError("an elliptic lattice is a JSON object with keys e and d")
+
+
+def ns_from_json(data) -> IntLattice:
+    """A lattice from a {"gram": ...} object or from the elliptic {e, d} shorthand."""
+    if isinstance(data, dict) and "gram" in data:
+        return lattice_from_json(data)
+    return elliptic_from_json(data).lattice
 
 
 def as_elliptic(ns) -> EllipticNS:
@@ -92,14 +108,6 @@ class SuitabilityReport(Record):
         setfield(self, "witnesses", witnesses)
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     """All wall classes of level a, in lexicographic (x, y) order.
 
@@ -113,8 +121,8 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     out: list[WallClass] = []
     x = 1
     while x <= a:  # |q| >= x for any admissible y, so x is bounded by a
-        lo = _ceil((-a / x - e * x) / (2 * d))
-        hi = _floor(Fraction(-1 - e * x, 2 * d))
+        lo = ceil((-a / x - e * x) / (2 * d))
+        hi = floor(Fraction(-1 - e * x, 2 * d))
         for y in range(lo, hi + 1):
             if gcd(x, abs(y)) != 1:
                 continue
@@ -191,7 +199,7 @@ def no_wall_threshold(e: int, a) -> int:
         raise InputError("level must be positive")
     if e < 0:
         raise InputError("needs e >= 0")
-    return _floor(a * (1 + e) / 2) + 1
+    return floor(a * (1 + e) / 2) + 1
 
 
 def wall_ray(ns: EllipticNS, wall) -> LatVec:

@@ -151,8 +151,13 @@ def test_fujiki_output(capsys, files):
         ({"kind": "OG6", "n": 2}, 2, "error: kind 'OG6' fixes n = 3, got n = 2\n"),
         ({"kind": "K3^[n]", "n": 2}, 2, "error: unknown deformation type 'K3^[n]'\n"),
         ({"kind": "Kum_n", "n": 2}, 2, "error: unknown deformation type 'Kum_n'\n"),
+        # a kind is matched whole, with ASCII digits only
+        ({"kind": "K3^[2]\n"}, 2, "error: unknown deformation type 'K3^[2]\\n'\n"),
+        ({"kind": "Kum_\u0662"}, 2, "error: unknown deformation type 'Kum_\u0662'\n"),
+        ({"n": 2}, 2, "error: setup needs 'kind' or both 'n' and 'c_x'\n"),
     ],
-    ids=["same-n", "K3^[2]-n3", "OG6-n2", "K3^[n]", "Kum_n"],
+    ids=["same-n", "K3^[2]-n3", "OG6-n2", "K3^[n]", "Kum_n", "trailing-newline",
+         "arabic-indic-digit", "no-kind-no-c_x"],
 )
 def test_fujiki_kind_names_its_own_n(capsys, files, tmp_path, setup, code, err):
     path = tmp_path / "setup.json"
@@ -284,7 +289,7 @@ def test_unicita_exit_codes(capsys):
     assert code == 3 and "error:" in err
 
 
-def test_scenario_commands(capsys, files):
+def test_scenario_commands(capsys, files, tmp_path):
     code, out, _ = run(
         capsys, ["vbk3ell", "--scenario", files["scenario_vb"], "--json",
                  "--no-timestamp"]
@@ -299,6 +304,15 @@ def test_scenario_commands(capsys, files):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, ["casoprim", "--scenario", "/nonexistent.json"])
     assert code == 2
+    # v = (1, 0, 1) on [[2, 1], [1, 0]] has v^2 = -2, so a(v) = 0 and no wall is in range
+    rigid = tmp_path / "rigid.json"
+    rigid.write_text(json.dumps({"pipeline": "vbk3ell", "lattices": {"ns": {"e": 2, "d": 1}},
+                                 "vectors": {"v": {"r": 1, "l": [0, 0], "s": 1}}}))
+    code, out, _ = run(capsys, ["vbk3ell", "--scenario", str(rigid), "--json", "--no-timestamp"])
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert data["a"] == 0
+    assert data["suitability"] == {"suitable": True, "generic": True, "witnesses": []}
 
 
 def test_sweep_econ(capsys):
@@ -311,6 +325,30 @@ def test_sweep_econ(capsys):
     assert payload["cases"] == 23
     assert payload["rows"][0]["count"] == 20
     assert payload["rows"][1]["first"][0] == {"e": 6, "m0": 1, "s0": 1}
+
+
+@pytest.mark.parametrize("command", ["rigid", "reduce"])
+def test_rank_3_lattice_needs_a_fiber_class(capsys, files, tmp_path, command):
+    ns = tmp_path / "ns3.json"
+    ns.write_text(json.dumps({"gram": [[2, 1, 0], [1, 0, 0], [0, 0, -2]]}))
+    v = tmp_path / "v3.json"
+    v.write_text(json.dumps({"r": 2, "l": [1, 0, 0], "s": 0}))
+    argv = [command, "--ns", str(ns), "--v", str(v)]
+    if command == "reduce":
+        argv += ["--steps", files["steps"]]
+    assert run(capsys, argv) == (2, "", "error: --f is required unless the lattice has rank 2\n")
+
+
+def test_verify_all_text_names_a_failed_check(capsys, monkeypatch):
+    def broken(rng):
+        return False, {"x": 1}
+
+    monkeypatch.setitem(hkmod.verify.SUITES, "lattice", (broken,))
+    assert run(capsys, ["verify-all", "--filter", "lattice"]) == (
+        1,
+        "[FAIL] lattice (1 checks)\n       failed: broken {'x': 1}\nFAILURES: lattice.broken\n",
+        "",
+    )
 
 
 def test_verify_all(capsys):
@@ -436,6 +474,7 @@ GATE_REFUSALS = [
      "error: --r0max and --emax must be positive"),
     (["nl", "--kind", "hk", "--i", "3", "--e", "4", "--d", "51"], 2,
      "error: divisibility must be 1 or 2, got 3"),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74"], 2, "error: --kind hk needs --i"),
 ]
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hkmod.errors import InputError
 from hkmod.fujiki import (
     FujikiSetup,
-    ModularClass,
     discriminant_sum_identity,
     double_factorial,
     fiber_restriction_integral,
@@ -45,7 +44,8 @@ def test_parse_kind():
     assert parse_kind("Kum_2") == ("Kum_n", 2)
     assert parse_kind("K3") == ("K3", 1)
     assert parse_kind("OG6") == ("OG6", 3)
-    for kind in ("OG10", "K3^[n]", "Kum_n", 5):  # the table keys are not kinds
+    # the table keys are not kinds; a kind is matched whole, with ASCII digits only
+    for kind in ("OG10", "K3^[n]", "Kum_n", 5, "K3^[2]\n", "Kum_\u0662"):
         with pytest.raises(InputError):
             parse_kind(kind)
 
@@ -93,20 +93,18 @@ def test_mixed_matchings_sum():
     q = setup.q
     got = matchings_sum(q, [lam, h, h, h])
     assert got == 3 * q(lam, h) * q(h, h)
+    with pytest.raises(InputError):
+        matchings_sum(q, [lam, h, h])
 
 
 def test_modular_delta_integral():
     setup = setup_for(((6, 1), (1, 0)), 2, 1)
-    mc = ModularClass(d_f=Fraction(30), r=2)
     h = vec((1, 0))
-    assert modular_delta_integral(setup, mc, [h, h]) == 180
+    assert modular_delta_integral(setup, Fraction(30), [h, h]) == 180
     setup3 = setup_for(((2, 1), (1, 0)), 3, 1)
-    mc3 = ModularClass(d_f=Fraction(1), r=2)
-    assert modular_delta_integral(setup3, mc3, [vec((1, 0))] * 4) == 12
+    assert modular_delta_integral(setup3, 1, [vec((1, 0))] * 4) == 12
     with pytest.raises(InputError):
-        modular_delta_integral(setup, mc, [h])
-    with pytest.raises(InputError):
-        ModularClass(d_f=Fraction(1), r=0)
+        modular_delta_integral(setup, 30, [h])
 
 
 def test_fiber_restriction_integral():
@@ -186,7 +184,7 @@ SETUP = setup_for(((6, 1), (1, 0)), 2, 1)
     "call",
     [
         lambda x: FujikiSetup(n=2, c_x=x, pairing=ELL6),
-        lambda x: ModularClass(d_f=x, r=2),
+        lambda x: modular_delta_integral(SETUP, x, [vec((1, 0))] * 2),
         lambda x: propsemi_bound_check(SETUP, 2, x, -1),
         lambda x: propsemi_bound_check(SETUP, 2, 30, x),
         lambda x: discriminant_sum_identity(SETUP, x, 1, 2, 1, 2, 30, -1),
@@ -204,5 +202,5 @@ def test_rational_arguments_must_be_exact(call, bad):
 
 def test_rational_arguments_accept_ints_and_strings():
     assert FujikiSetup(n=2, c_x="3/2", pairing=ELL6).c_x == Fraction(3, 2)
-    assert ModularClass(d_f=30, r=2).d_f == 30
+    assert modular_delta_integral(SETUP, "30", [vec((1, 0))] * 2) == 180
     assert propsemi_bound_check(SETUP, 2, "30", "-1/2")

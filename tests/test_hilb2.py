@@ -118,13 +118,13 @@ def test_h_polarization():
 
 def test_hilb2_ns_and_divisibility():
     ns = hilb2_ns(1, 211)
-    assert ns.lattice.gram == (
+    assert ns.gram == (
         (Fraction(2), Fraction(211), Fraction(0)),
         (Fraction(211), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(-2)),
     )
-    assert pair(ns.lattice, vec((1, 0, 0)), ns.mu_c) == 211
-    assert pair(ns.lattice, vec((0, 0, 1)), vec((0, 0, 1))) == -2
+    assert pair(ns, vec((1, 0, 0)), vec((0, 1, 0))) == 211
+    assert pair(ns, vec((0, 0, 1)), vec((0, 0, 1))) == -2
     with pytest.raises(InputError):
         hilb2_ns(-1, 5)
     with pytest.raises(InputError):

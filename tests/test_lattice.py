@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from hkmod.errors import InputError
 from hkmod.lattice import (
+    IntLattice,
     content,
     discriminant,
     lattice,
@@ -31,12 +32,17 @@ def test_latvec_arithmetic():
     assert u + v == vec((4, 1))
     assert u - v == vec((-2, 3))
     assert 3 * u == vec((3, 6))
-    assert -u == vec((-1, -2))
+    assert -1 * u == vec((-1, -2))
     assert len(u) == 2
     assert not u.is_zero and vec((0, 0)).is_zero
     assert Fraction(1, 2) * u == vec(("1/2", 1))
     with pytest.raises(InputError):
         1.5 * u
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(InputError, match="length mismatch"):
+            op(u, vec((1, 2, 3)))
+    with pytest.raises(InputError, match="not integral"):
+        vec(("1/2", 1)).int_coords()
 
 
 def test_latvec_from_json_rationals():
@@ -56,6 +62,8 @@ def test_lattice_validation():
         lattice(((1, 2),))  # not square
     with pytest.raises(InputError):
         lattice(((Fraction(1, 2),),))  # not integral
+    with pytest.raises(InputError, match="gram entries must be integers"):
+        IntLattice(1, ((Fraction(1, 2),),))
     for gram in (5, [1, 2], None, "12", ["12", "21"], [[1], 2]):
         with pytest.raises(InputError, match="array of arrays"):
             lattice(gram)
@@ -66,6 +74,9 @@ def test_lattice_validation():
     assert lat == HYP and lat.gram == ((2, 3), (3, 0))
     with pytest.raises(InputError):
         lattice_from_json({"nope": 1})
+    assert lattice_from_json({"gram": [[2, 3], [3, 0]], "rank": 2}) == HYP
+    with pytest.raises(InputError, match="declared rank 3"):
+        lattice_from_json({"gram": [[2, 3], [3, 0]], "rank": 3})
 
 
 def test_equal_gram_matrices_give_equal_lattices():
@@ -120,6 +131,7 @@ def test_discriminant():
     assert discriminant(lattice(((0, 1), (1, 0)))) == -1  # zero pivot swap
     assert discriminant(lattice(((2, 0, 0), (0, 3, 0), (0, 0, -2)))) == -12
     assert discriminant(lattice(((1, 1), (1, 1)))) == 0
+    assert discriminant(lattice(((0, 0), (0, 1)))) == 0  # pivot column all zero
     for m0 in range(4):
         for d in range(1, 5):
             assert discriminant(lattice(((2 * m0, d), (d, 0)))) == -d * d

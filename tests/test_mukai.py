@@ -25,6 +25,10 @@ H = vec((1, 0))
 def test_vector_validation():
     with pytest.raises(InputError):
         MukaiVector(-1, H, 0)
+    with pytest.raises(InputError, match="rank must be an integer"):
+        MukaiVector(True, H, 0)
+    with pytest.raises(InputError, match="lattice vector"):
+        MukaiVector(2, (1, 0), 0)
     with pytest.raises(InputError):
         MukaiVector(2, vec((Fraction(1, 2), 0)), 0)
     with pytest.raises(InputError):
@@ -56,6 +60,8 @@ def test_from_chern():
     assert from_chern(E4D1, 2, H, 3) == MukaiVector(2, H, 2 - 3 + 2)
     with pytest.raises(InputError):
         from_chern(E4D1, 2, vec((Fraction(1, 2), 0)), 0)
+    with pytest.raises(InputError, match="rank must be nonnegative"):
+        from_chern(E4D1, -1, zero, 0)
     odd = lattice(((1, 0), (0, 2)))
     with pytest.raises(MathCheckError):
         from_chern(odd, 2, vec((1, 0)), 0)
@@ -80,6 +86,8 @@ def test_twist_example():
     assert mukai_square(E4D1, w) == mukai_square(E4D1, v)
     with pytest.raises(InputError):
         twist_by_mf(E4D1, v, 1, H)  # q(h) != 0
+    with pytest.raises(InputError, match="integral"):
+        twist_by_mf(E4D1, v, 1, vec((0, Fraction(1, 2))))  # isotropic but not integral
 
 
 def test_normalize_twist_roundtrip():
@@ -117,6 +125,8 @@ def test_normalize_twist_failures():
         normalize_twist(E4D1, v, v, H)
     with pytest.raises(InputError, match="integral"):
         normalize_twist(E4D1, v, v, vec((0, Fraction(1, 2))))
+    with pytest.raises(InputError, match="positive rank"):
+        normalize_twist(E4D1, MukaiVector(0, H, 1), MukaiVector(0, H, 1), F)
 
 
 @given(st.integers(1, 5), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),

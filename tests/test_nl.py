@@ -87,6 +87,10 @@ def test_propriostab_admissible():
         propriostab_admissible(6, 422, 2, 120, 0)
     with pytest.raises(InputError):
         propriostab_admissible(6, 422, 2, 0, 2)
+    with pytest.raises(InputError, match="e must be positive"):
+        propriostab_admissible(0, 422, 2, 120, 2)
+    with pytest.raises(InputError, match="d must be positive"):
+        propriostab_admissible(6, 0, 2, 120, 2)
 
 
 def test_buonacompt_frozen():

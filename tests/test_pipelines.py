@@ -109,7 +109,7 @@ def test_scenario_parsing(tmp_path):
         "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5], "w": "junk"},
     }
     sc = scenario_from_json(raw)  # names other than ns, v and h are ignored
-    assert sc == Scenario("casoprim", EllipticNS(4, 1), V, vec((1, 5)))
+    assert sc == Scenario("casoprim", E4D1, V, vec((1, 5)))
     assert sc._fields == ("pipeline", "ns", "v", "h")
     assert run_scenario(sc).verdict
     gram = scenario_from_json({**raw, "lattices": {"ns": {"gram": [[4, 1], [1, 0]]}}})

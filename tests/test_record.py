@@ -63,11 +63,9 @@ SPECS = {
         ["u", (CHECK,), {"a": Fraction(1, 2)}],
     ),
     fujiki.FujikiSetup: (["n", "c_x", "pairing"], [2, Fraction(1), NS], [3, Fraction(1), NS]),
-    fujiki.ModularClass: (["d_f", "r"], [Fraction(5, 2), 2], [Fraction(5, 2), 3]),
     hilb2.F2Invariants: (
         ["rank", "delta_coeff", "d_mod", "a_mod"], [4, 1, 30, 120], [9, 6, 180, 3645]
     ),
-    hilb2.Hilb2NS: (["m0", "d0", "lattice"], [1, 2, NS], [2, 2, NS]),
     hilb2.McKaySquare: (
         ["dims", "end0_vanishing"], [(1, 0, 1, 0, 1), True], [(1, 0, 2, 0, 1), False]
     ),
@@ -173,7 +171,7 @@ def hash_or_error(obj):
 
 
 def test_every_former_dataclass_is_covered():
-    assert len(SPECS) == 23
+    assert len(SPECS) == 21
     modules = (fujiki, hilb2, lattice, mukai, nl, pipelines, reduction, report, verify, walls)
     found = {
         obj

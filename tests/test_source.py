@@ -1,7 +1,7 @@
 """Checks on the hkmod sources: no float enters the exact arithmetic, no refusal rests on
 an `assert` that python -O strips, no import goes unread, the modules import without a
-cycle, and every public function, record, method and property is run by a subcommand or
-by verify-all."""
+cycle, and every public function, record, method, property and dunder is run by a
+subcommand or by verify-all."""
 
 import ast
 import importlib
@@ -160,9 +160,18 @@ def codes_run(action) -> set:
     return seen
 
 
+# Record's own frozen-record protocol, which test_record pins against dataclass twins
+RECORD_PROTOCOL = {
+    f"record.Record.{attr}"
+    for attr in ("__init_subclass__", "__eq__", "__hash__", "__repr__", "__setattr__",
+                 "__delattr__")
+}
+
+
 def public_code(module) -> dict:
     """The code of each public function of a module and, for each public class, of its own
-    __init__, its public methods (plain, class and static) and its property getters."""
+    __init__ and other dunders (but RECORD_PROTOCOL), its public methods (plain, class and
+    static) and its property getters."""
     stem = module.__name__.rsplit(".", 1)[-1]
     found = {}
     for name, obj in vars(module).items():
@@ -172,7 +181,8 @@ def public_code(module) -> dict:
             found[f"{stem}.{name}"] = obj.__code__
         elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if attr.startswith("_") and attr != "__init__":
+                private = attr.startswith("_") and not attr.endswith("__")
+                if private or f"{stem}.{name}.{attr}" in RECORD_PROTOCOL:
                     continue
                 if isinstance(member, (classmethod, staticmethod)):
                     member = member.__func__
@@ -203,16 +213,18 @@ def test_reachability_scan_sees_an_unrun_function():
         "    @classmethod\n    def make(cls): return cls()\n"
         "    @staticmethod\n    def idle_static(): pass\n"
         "    def _helper(self): pass\n"
+        "    def __len__(self): return 1\n"
+        "    def __neg__(self): return self\n"
         "class Idle:\n    def __init__(self): pass\n"
         "class Plain: pass\n"
-        "def used(): r = Run.make(); r.ran(); return r.seen\n"
+        "def used(): r = Run.make(); r.ran(); return r.seen + len(r)\n"
         "def unused(): return Idle()\n"
         "def _private(): pass\n",
         vars(module),
     )
     assert never_run([module], codes_run(module.used)) == [
-        "probe.Idle", "probe.Run.idle", "probe.Run.idle_static", "probe.Run.unseen",
-        "probe.unused",
+        "probe.Idle", "probe.Run.__neg__", "probe.Run.idle", "probe.Run.idle_static",
+        "probe.Run.unseen", "probe.unused",
     ]
 
 

@@ -37,6 +37,8 @@ def test_elliptic_ns_validation():
         EllipticNS(4, -2)
     with pytest.raises(InputError):
         EllipticNS(4.0, 1)
+    with pytest.raises(InputError, match="d must be an integer"):
+        EllipticNS(4, 1.0)
     assert elliptic_from_json({"e": 2, "d": 3}) == EllipticNS(2, 3)
     with pytest.raises(InputError):
         elliptic_from_json({"e": 2})
