@@ -12,45 +12,11 @@ import argparse
 import sys
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
-from .fujiki import FujikiSetup, double_factorial, top_intersection
-from .hilb2 import (
-    divisibility_type,
-    econ_check,
-    governing_divisibility,
-    m0_s0,
-    unicita_report,
-)
 from .jsonio import canonical_json, encode, load_json_file, to_int, to_rational
 from .lattice import IntLattice, lattice_from_json, latvec_from_json, pair
-from .mukai import (
-    MukaiNumerics,
-    mukai_from_json,
-    mukai_pairing,
-    mukai_square,
-    numerics,
-)
-from .nl import (
-    DEFAULT_SEARCH_CAP,
-    buonacompt_bound,
-    buonacompt_min_d,
-    nef_isotropic_classes,
-    nl_hk_admissible,
-    nl_k3_admissible,
-    rigsuk_bound,
-    rigsuk_min_d0,
-)
-from .pipelines import load_scenario, run_scenario
-from .reduction import ModificationStep, bezout_r0_d0, reduction_trace, rigid_vector
-from .verify import verify_all
-from .walls import (
-    EllipticNS,
-    enumerate_wall_classes,
-    is_suitable,
-    min_negative_norm,
-    ns_from_json,
-    suitability_for,
-    wall_ray,
-)
+from .verify import verify_all  # the runner only: the checks load when verify-all runs
+
+# Each handler imports the modules it runs, so a process compiles only those.
 
 
 def _timestamp() -> str:
@@ -106,6 +72,8 @@ def _fiber_vec(args, ns: IntLattice):
 
 
 def cmd_fujiki(args) -> int:
+    from .fujiki import FujikiSetup, double_factorial, top_intersection
+
     setup_data = load_json_file(args.setup)
     if not isinstance(setup_data, dict):
         raise InputError("setup must be a JSON object")
@@ -141,6 +109,9 @@ def cmd_fujiki(args) -> int:
 
 
 def cmd_mukai(args) -> int:
+    from .mukai import mukai_from_json, mukai_pairing, mukai_square, numerics
+    from .walls import ns_from_json
+
     ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     if args.w is not None:
@@ -168,6 +139,15 @@ def cmd_mukai(args) -> int:
 
 
 def cmd_walls(args) -> int:
+    from .walls import (
+        EllipticNS,
+        enumerate_wall_classes,
+        is_suitable,
+        min_negative_norm,
+        suitability_for,
+        wall_ray,
+    )
+
     if args.h is not None and not args.suitability:
         raise InputError("--h is read only with --suitability")
     ns = EllipticNS(args.e, args.d)
@@ -200,6 +180,10 @@ def cmd_walls(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .mukai import mukai_from_json
+    from .reduction import ModificationStep, reduction_trace
+    from .walls import ns_from_json
+
     ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     f = _fiber_vec(args, ns)
@@ -217,6 +201,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rigid(args) -> int:
+    from .mukai import mukai_from_json, mukai_square
+    from .reduction import bezout_r0_d0, rigid_vector
+    from .walls import ns_from_json
+
     ns = ns_from_json(load_json_file(args.ns))
     v = mukai_from_json(load_json_file(args.v), ns.rank)
     f = _fiber_vec(args, ns)
@@ -240,6 +228,9 @@ def cmd_rigid(args) -> int:
 
 
 def cmd_nl(args) -> int:
+    from .mukai import MukaiNumerics
+    from .nl import nef_isotropic_classes, nl_hk_admissible, nl_k3_admissible
+
     if args.kind == "k3":
         if args.i is not None:
             raise InputError("--kind k3 does not read --i")
@@ -260,9 +251,19 @@ def cmd_nl(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _cap(args) -> int:
+    """--cap, or the searches' default when it is absent."""
+    from .nl import DEFAULT_SEARCH_CAP
+
+    return DEFAULT_SEARCH_CAP if args.cap is None else args.cap
+
+
 def cmd_nl_search(args) -> int:
+    from .hilb2 import governing_divisibility, m0_s0
+    from .nl import buonacompt_bound, buonacompt_min_d, rigsuk_bound, rigsuk_min_d0
+
     i = governing_divisibility(args.r0)
-    min_d = buonacompt_min_d(args.r0, args.e, i, cap=args.cap)
+    min_d = buonacompt_min_d(args.r0, args.e, i, cap=_cap(args))
     m0, s0 = m0_s0(args.r0, args.e)
     _emit(
         args,
@@ -282,12 +283,16 @@ def cmd_nl_search(args) -> int:
 
 
 def cmd_unicita(args) -> int:
-    report = unicita_report(args.i, args.r0, args.e, cap=args.cap)
+    from .hilb2 import unicita_report
+
+    report = unicita_report(args.i, args.r0, args.e, cap=_cap(args))
     _emit(args, report.to_json_dict())
     return 0 if report.verdict else 1
 
 
 def cmd_scenario(args) -> int:
+    from .pipelines import load_scenario, run_scenario
+
     sc = load_scenario(args.scenario)
     if sc.pipeline != args.command:
         raise InputError(
@@ -299,6 +304,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep_econ(args) -> int:
+    from .hilb2 import divisibility_type, econ_check, governing_divisibility, m0_s0
+
     if args.r0max < 1 or args.emax < 1:
         raise InputError("--r0max and --emax must be positive")
     rows = []
@@ -339,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the generated_at field from JSON output",
     )
-    common.add_argument(
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_SEARCH_CAP,
-        help="most candidates a parameter search may examine",
+        help="most candidates the search may examine (default nl.DEFAULT_SEARCH_CAP)",
     )
 
     parser = argparse.ArgumentParser(
@@ -399,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nl)
 
     p = sub.add_parser(
-        "nl-search", parents=[common], help="minimal admissible parameters"
+        "nl-search", parents=[common, search], help="minimal admissible parameters"
     )
     p.add_argument("--r0", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.set_defaults(func=cmd_nl_search)
 
-    p = sub.add_parser("unicita", parents=[common], help="full admissibility report")
+    p = sub.add_parser("unicita", parents=[common, search], help="full admissibility report")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--r0", type=int, required=True)
     p.add_argument("--e", type=int, required=True)

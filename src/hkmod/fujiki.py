@@ -10,9 +10,9 @@ counted exactly once.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
 from .jsonio import to_rational

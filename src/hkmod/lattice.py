@@ -8,10 +8,10 @@ arbitrary-precision integers and fractions only.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import InputError
 from .jsonio import to_exact, to_int

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import hkmod
-from hkmod.cli import main
+import hkmod.checks
+from hkmod.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -46,7 +47,10 @@ def files(tmp_path):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -343,7 +347,7 @@ def test_verify_all_text_names_a_failed_check(capsys, monkeypatch):
     def broken(rng):
         return False, {"x": 1}
 
-    monkeypatch.setitem(hkmod.verify.SUITES, "lattice", (broken,))
+    monkeypatch.setitem(hkmod.checks.SUITES, "lattice", (broken,))
     assert run(capsys, ["verify-all", "--filter", "lattice"]) == (
         1,
         "[FAIL] lattice (1 checks)\n       failed: broken {'x': 1}\nFAILURES: lattice.broken\n",
@@ -448,14 +452,43 @@ def test_reduce_refuses_start_below_rigid_bound(capsys, files, tmp_path):
     assert proc.stderr.startswith("refused:") and "Traceback" not in proc.stderr
 
 
+IMPORT_FOOTPRINT = """\
+import io, json, sys
+from contextlib import redirect_stdout
+def loaded():
+    return {m for m in sys.modules if m == "hkmod" or m.startswith("hkmod.")}
+import hkmod
+package = loaded()
+import hkmod.cli
+cli = loaded() - package
+with redirect_stdout(io.StringIO()):
+    code = hkmod.cli.main(["walls", "--e", "2", "--d", "3", "--a", "6"])
+walls = loaded() - package - cli
+std = [m for m in ("dataclasses", "datetime") if m in sys.modules]
+print(json.dumps([sorted(package), sorted(cli), code, sorted(walls), std]))
+"""
+
+
 def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
+    """Each entry point loads only the hkmod modules it runs."""
+    proc = run_child("-c", IMPORT_FOOTPRINT)
+    assert proc.returncode == 0, proc.stderr
+    package, cli, code, walls, std = json.loads(proc.stdout)
+    assert package == ["hkmod", "hkmod.errors", "hkmod.jsonio", "hkmod.lattice", "hkmod.record"]
+    # perfbench/run.py:218 (cli_costs) reads hkmod.verify's import time from `import hkmod.cli`
+    assert "hkmod.verify" in cli
+    assert cli == ["hkmod.cli", "hkmod.report", "hkmod.verify"]
+    assert code == 0 and walls == ["hkmod.walls"]
+    assert std == []
+
+
+def test_cli_import_leaves_typing_and_random_unloaded():
+    # -S: the site packages of some environments load both at start-up
     proc = run_child(
-        "-c",
-        "import hkmod.cli, sys; "
-        "print(*(m in sys.modules for m in ('dataclasses', 'datetime', 'hkmod.verify')))",
+        "-S", "-c", "import hkmod.cli, sys; print(*(m in sys.modules for m in ('typing', 'random')))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 GATE_REFUSALS = [
@@ -497,6 +530,22 @@ def test_flags_the_mode_does_not_read_are_refused(capsys, files, argv, err):
     """A flag that the chosen mode would ignore is bad input, not silently dropped."""
     argv = [files["h_bad"] if a == "@h" else a for a in argv]
     assert run(capsys, argv) == (2, "", err + "\n")
+
+
+# only nl-search and unicita search, so only they take --cap
+CAP_REFUSALS = [
+    ["mukai", "--ns", "@ns", "--v", "@v", "--cap", "3"],
+    ["walls", "--e", "4", "--d", "1", "--a", "12", "--cap", "3"],
+    ["verify-all", "--filter", "lattice", "--cap", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", CAP_REFUSALS, ids=[" ".join(argv) for argv in CAP_REFUSALS])
+def test_cap_is_refused_outside_the_searches(capsys, files, argv):
+    """argparse refuses --cap on a subcommand that does not search: its usage, then the error."""
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    err = build_parser().format_usage() + "hkmod: error: unrecognized arguments: --cap 3\n"
+    assert run(capsys, argv) == (2, "", err)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkmod import verify
+from hkmod import checks
 from hkmod.errors import InputError, MathCheckError
 from hkmod.hilb2 import (
     ambient_divisibility,
@@ -201,7 +201,7 @@ def test_potenza_solve_matches_scan(n, d1, k, r, a, construct):
         r = r0**n // g
         a = r // r0
     got = potenza_solve(n, d1, d2, r, a)
-    assert got == verify._brute_potenza(n, d1, d2, r, a)
+    assert got == checks._brute_potenza(n, d1, d2, r, a)
     if solvable:
         assert got == [r0]
 

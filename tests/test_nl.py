@@ -21,7 +21,7 @@ from hkmod.nl import (
     rigsuk_bound,
     rigsuk_min_d0,
 )
-from hkmod.verify import _brute_min_d, _brute_min_d0
+from hkmod.checks import _brute_min_d, _brute_min_d0
 from hkmod.walls import EllipticNS
 
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import hkmod
-from hkmod import fujiki, hilb2, mukai, nl, pipelines, reduction, verify, walls
+from hkmod import checks, fujiki, hilb2, mukai, nl, pipelines, reduction, verify, walls
 from hkmod.errors import InputError
-from hkmod.verify import SUITES, verify_all
+from hkmod.checks import SUITES
+from hkmod.verify import verify_all
 
 
 def test_all_suites_pass():
@@ -37,9 +38,9 @@ def test_check(suite, fn):
 
 def test_every_check_is_in_the_table_once():
     public = {
-        name for name, obj in vars(verify).items()
-        if inspect.isfunction(obj) and obj.__module__ == verify.__name__
-        and not name.startswith("_") and name != "verify_all"
+        name for name, obj in vars(checks).items()
+        if inspect.isfunction(obj) and obj.__module__ == checks.__name__
+        and not name.startswith("_")
     }
     listed = [fn.__name__ for _, fn in TABLE]
     assert len(set(listed)) == len(listed)  # check names are unique across suites
@@ -79,7 +80,7 @@ def test_narrowed_wall_box_matches_wide_scan():
     cases += [(e, d, a) for e in range(-6, 7) for d in (1, 2)
               for a in (Fraction(5), Fraction(9, 2), Fraction(11, 3))]
     for e, d, a in cases:
-        assert verify._brute_walls(e, d, a) == wide_box_walls(e, d, a), (e, d, a)
+        assert checks._brute_walls(e, d, a) == wide_box_walls(e, d, a), (e, d, a)
 
 
 def test_narrowed_potenza_range_matches_full_range():
@@ -93,7 +94,7 @@ def test_narrowed_potenza_range_matches_full_range():
             and r0 ** (n - 1) % (gcd(r0, d1) * gcd(r0, d2)) == 0
             and gcd(r, a) == r0 ** (n - 1) // (gcd(r0, d1) * gcd(r0, d2))
         ]
-        assert verify._brute_potenza(n, d1, d2, r, a) == full, (n, d1, d2, r, a)
+        assert checks._brute_potenza(n, d1, d2, r, a) == full, (n, d1, d2, r, a)
 
 
 def test_fiber_check_catches_a_wrong_top_intersection_without_asserts():
@@ -142,7 +143,7 @@ def ignoring(rep, reason):
     return changed(rep, ok=not reasons, reasons=reasons)
 
 
-# (module verify calls the routine through, routine, wrong version, suite, check).
+# (module the checks call the routine through, routine, wrong version, suite, check).
 # The library computes these answers without re-proving them; each mutation
 # gives one of them a wrong answer that only the named verify-all check sees.
 MUTATIONS = {
@@ -187,7 +188,7 @@ MUTATIONS = {
         "nl", "admissibility_examples",
     ),
     "twist_changes_square": (
-        verify, "twist_by_mf",
+        checks, "twist_by_mf",
         lambda f: lambda ns, v, m, fib: bump_s(f(ns, v, m, fib)),
         "mukai", "twist_preserves_square",
     ),
@@ -248,7 +249,7 @@ MUTATIONS = {
 def test_identity_check_catches_a_wrong_answer(monkeypatch, mutation):
     module, name, wrong, suite, check = MUTATIONS[mutation]
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    fn = getattr(verify, check)
+    fn = getattr(checks, check)
     assert fn in SUITES[suite]
     result = verify._check(suite, fn)
     assert not result.passed

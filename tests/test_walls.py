@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkmod import verify
+from hkmod import checks
 from hkmod.errors import InputError
 from hkmod.lattice import lattice, pair, vec
 from hkmod.walls import (
@@ -181,7 +181,7 @@ def test_enumeration_matches_brute_scan(half_e, d, a):
     e = 2 * half_e
     ns = EllipticNS(e, d)
     found = enumerate_wall_classes(ns, a)
-    assert [w.lam.int_coords() for w in found] == verify._brute_walls(e, d, a)
+    assert [w.lam.int_coords() for w in found] == checks._brute_walls(e, d, a)
     lat = ns.lattice
     for w in found:
         assert w.norm == pair(lat, w.lam, w.lam)
@@ -225,7 +225,7 @@ def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
     ns = EllipticNS(e, d)
     h = data.draw(polarization(ns))
     if ns.q(h) > 0:
-        assert suitability_for(ns, a, h) == verify._two_sign_suitability(ns, a, h)
+        assert suitability_for(ns, a, h) == checks._two_sign_suitability(ns, a, h)
     else:
         with pytest.raises(InputError):
             suitability_for(ns, a, h)
@@ -233,9 +233,9 @@ def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
 
 def test_two_sign_oracle_does_not_read_the_enumeration(monkeypatch):
     ns, h = EllipticNS(2, 3), vec((12, -3))
-    want = verify._two_sign_suitability(ns, 6, h)
+    want = checks._two_sign_suitability(ns, 6, h)
     monkeypatch.setattr(
         "hkmod.walls.enumerate_wall_classes", lambda ns, a: enumerate_wall_classes(ns, a)[:-1]
     )
     assert suitability_for(ns, 6, h) != want  # the dropped wall is a witness
-    assert verify._two_sign_suitability(ns, 6, h) == want
+    assert checks._two_sign_suitability(ns, 6, h) == want
