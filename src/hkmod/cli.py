@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
-from .jsonio import canonical_json, encode, load_json_file, to_int, to_rational
+from .jsonio import canonical_json, check_digits, encode, load_json_file, to_int, to_rational
 from .lattice import IntLattice, lattice_from_json, latvec_from_json, pair
 from .verify import verify_all  # the runner only: the checks load when verify-all runs
 
@@ -63,8 +63,28 @@ def _emit(args, payload: dict) -> None:
             print(line)
 
 
+def _int(text: str) -> int:
+    """argparse type: int, refusing more digits than jsonio.MAX_DIGITS."""
+    try:
+        check_digits(text)
+        return int(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _ns_v(args):
+    """The --ns lattice and the --v Mukai vector of mukai, reduce and rigid."""
+    from .mukai import mukai_from_json
+    from .walls import ns_from_json
+
+    ns = ns_from_json(load_json_file(args.ns))
+    return ns, mukai_from_json(load_json_file(args.v), ns.rank)
+
+
 def _fiber_vec(args, ns: IntLattice):
-    if getattr(args, "f", None) is not None:
+    if args.f is not None:
         return latvec_from_json(load_json_file(args.f), ns.rank)
     if ns.rank != 2:
         raise InputError("--f is required unless the lattice has rank 2")
@@ -110,10 +130,8 @@ def cmd_fujiki(args) -> int:
 
 def cmd_mukai(args) -> int:
     from .mukai import mukai_from_json, mukai_pairing, mukai_square, numerics
-    from .walls import ns_from_json
 
-    ns = ns_from_json(load_json_file(args.ns))
-    v = mukai_from_json(load_json_file(args.v), ns.rank)
+    ns, v = _ns_v(args)
     if args.w is not None:
         w = mukai_from_json(load_json_file(args.w), ns.rank)
         _emit(
@@ -180,12 +198,9 @@ def cmd_walls(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .mukai import mukai_from_json
     from .reduction import ModificationStep, reduction_trace
-    from .walls import ns_from_json
 
-    ns = ns_from_json(load_json_file(args.ns))
-    v = mukai_from_json(load_json_file(args.v), ns.rank)
+    ns, v = _ns_v(args)
     f = _fiber_vec(args, ns)
     steps_data = load_json_file(args.steps)
     if not isinstance(steps_data, list):
@@ -201,12 +216,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rigid(args) -> int:
-    from .mukai import mukai_from_json, mukai_square
+    from .mukai import mukai_square
     from .reduction import bezout_r0_d0, rigid_vector
-    from .walls import ns_from_json
 
-    ns = ns_from_json(load_json_file(args.ns))
-    v = mukai_from_json(load_json_file(args.v), ns.rank)
+    ns, v = _ns_v(args)
     f = _fiber_vec(args, ns)
     w = rigid_vector(ns, v, f)
     k = pair(ns, v.l, f)
@@ -338,113 +351,87 @@ def cmd_verify_all(args) -> int:
     return 0 if summary.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="print canonical JSON")
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the generated_at field from JSON output",
-    )
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument(
-        "--cap",
-        type=int,
-        help="most candidates the search may examine (default nl.DEFAULT_SEARCH_CAP)",
-    )
+COMMON = [
+    ("--json", {"action": "store_true", "help": "print canonical JSON"}),
+    ("--no-timestamp", {"action": "store_true",
+                        "help": "omit the generated_at field from JSON output"}),
+]
+CAP = ("--cap", {"type": _int, "help": "most candidates the search may examine "
+                 "(default nl.DEFAULT_SEARCH_CAP)"})
+SCENARIO = ("--scenario", {"required": True, "help": "JSON scenario file"})
+FIBER = ("--f", {"help": "JSON fiber class (default (0,1) in rank 2)"})
 
+
+def _required_ints(*flags: str) -> list:
+    return [(flag, {"type": _int, "required": True}) for flag in flags]
+
+
+# name -> (help, handler, the arguments after COMMON as (flag, argparse kwargs) pairs);
+# CAP comes first, so the usage line lists it where it always has
+COMMANDS = {
+    "fujiki": ("top intersection numbers", cmd_fujiki, [
+        ("--setup", {"required": True, "help": "JSON file with n, c_x or kind, gram"}),
+        ("--classes", {"required": True, "help": "JSON array of 2n classes"})]),
+    "mukai": ("pairings and derived numerics", cmd_mukai, [
+        ("--ns", {"required": True, "help": "JSON lattice ({e,d} or {gram})"}),
+        ("--v", {"required": True, "help": "JSON Mukai vector {r,l,s}"}),
+        ("--w", {"help": "optional second vector: print the pairing"})]),
+    "walls": ("wall classes of a level", cmd_walls, [
+        *_required_ints("--e", "--d"),
+        ("--a", {"required": True, "help": "level (integer or p/q)"}),
+        ("--suitability", {"action": "store_true",
+                           "help": "also test the polarization; exit 1 when unsuitable"}),
+        ("--h", {"help": "JSON polarization vector for --suitability"})]),
+    "reduce": ("run a modification trace", cmd_reduce, [
+        ("--ns", {"required": True}), ("--v", {"required": True}),
+        ("--steps", {"required": True, "help": "JSON array of {r_b, deg_b}"}), FIBER]),
+    "rigid": ("rigid vector via Bezout twist", cmd_rigid, [
+        ("--ns", {"required": True}), ("--v", {"required": True}), FIBER]),
+    "nl": ("admissibility of a fiber degree", cmd_nl, [
+        ("--kind", {"choices": ("k3", "hk"), "required": True}),
+        *_required_ints("--e", "--d"),
+        ("--i", {"type": _int, "help": "ambient divisibility (hk)"}),
+        ("--r0", {"type": _int, "help": "Mukai rank (k3)"}),
+        ("--vsq", {"type": _int, "help": "Mukai square (k3)"})]),
+    "nl-search": ("minimal admissible parameters", cmd_nl_search,
+                  [CAP, *_required_ints("--r0", "--e")]),
+    "unicita": ("full admissibility report", cmd_unicita,
+                [CAP, *_required_ints("--i", "--r0", "--e")]),
+    "vbk3ell": ("run a vbk3ell scenario", cmd_scenario, [SCENARIO]),
+    "casoprim": ("run a casoprim scenario", cmd_scenario, [SCENARIO]),
+    "sweep-econ": ("sweep the slope congruence", cmd_sweep_econ,
+                   _required_ints("--r0max", "--emax")),
+    "verify-all": ("run the self-check suites", cmd_verify_all, [
+        ("--filter", {"help": "only suites whose name contains this string"})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's name and help; arguments only on the subparser of `command`."""
     parser = argparse.ArgumentParser(
         prog="hkmod",
         description="Exact lattice computations for moduli of sheaves on "
         "K3 surfaces and their Hilbert schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fujiki", parents=[common], help="top intersection numbers")
-    p.add_argument("--setup", required=True, help="JSON file with n, c_x or kind, gram")
-    p.add_argument("--classes", required=True, help="JSON array of 2n classes")
-    p.set_defaults(func=cmd_fujiki)
-
-    p = sub.add_parser("mukai", parents=[common], help="pairings and derived numerics")
-    p.add_argument("--ns", required=True, help="JSON lattice ({e,d} or {gram})")
-    p.add_argument("--v", required=True, help="JSON Mukai vector {r,l,s}")
-    p.add_argument("--w", help="optional second vector: print the pairing")
-    p.set_defaults(func=cmd_mukai)
-
-    p = sub.add_parser("walls", parents=[common], help="wall classes of a level")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--a", required=True, help="level (integer or p/q)")
-    p.add_argument(
-        "--suitability",
-        action="store_true",
-        help="also test the polarization; exit 1 when unsuitable",
-    )
-    p.add_argument("--h", help="JSON polarization vector for --suitability")
-    p.set_defaults(func=cmd_walls)
-
-    p = sub.add_parser("reduce", parents=[common], help="run a modification trace")
-    p.add_argument("--ns", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--steps", required=True, help="JSON array of {r_b, deg_b}")
-    p.add_argument("--f", help="JSON fiber class (default (0,1) in rank 2)")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("rigid", parents=[common], help="rigid vector via Bezout twist")
-    p.add_argument("--ns", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--f", help="JSON fiber class (default (0,1) in rank 2)")
-    p.set_defaults(func=cmd_rigid)
-
-    p = sub.add_parser("nl", parents=[common], help="admissibility of a fiber degree")
-    p.add_argument("--kind", choices=("k3", "hk"), required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--i", type=int, help="ambient divisibility (hk)")
-    p.add_argument("--r0", type=int, help="Mukai rank (k3)")
-    p.add_argument("--vsq", type=int, help="Mukai square (k3)")
-    p.set_defaults(func=cmd_nl)
-
-    p = sub.add_parser(
-        "nl-search", parents=[common, search], help="minimal admissible parameters"
-    )
-    p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=cmd_nl_search)
-
-    p = sub.add_parser("unicita", parents=[common, search], help="full admissibility report")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--r0", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=cmd_unicita)
-
-    p = sub.add_parser("vbk3ell", parents=[common], help="run a vbk3ell scenario")
-    p.add_argument("--scenario", required=True, help="JSON scenario file")
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("casoprim", parents=[common], help="run a casoprim scenario")
-    p.add_argument("--scenario", required=True, help="JSON scenario file")
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser(
-        "sweep-econ", parents=[common], help="sweep the slope congruence"
-    )
-    p.add_argument("--r0max", type=int, required=True)
-    p.add_argument("--emax", type=int, required=True)
-    p.set_defaults(func=cmd_sweep_econ)
-
-    p = sub.add_parser("verify-all", parents=[common], help="run the self-check suites")
-    p.add_argument("--filter", help="only suites whose name contains this string")
-    p.set_defaults(func=cmd_verify_all)
-
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            for flag, kwargs in COMMON + arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has only -h, so its first token not starting with "-" is the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
+    # input numbers are bounded where they are read (jsonio.MAX_DIGITS); answers print in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -454,6 +441,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

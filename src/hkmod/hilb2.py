@@ -20,6 +20,7 @@ from .nl import (
     DEFAULT_SEARCH_CAP,
     buonacompt_bound,
     buonacompt_min_d,
+    check_cap,
     check_econ,
     check_i,
     check_parity,
@@ -252,6 +253,7 @@ def unicita_report(
     """
     check_i(i)
     check_r0(r0)
+    check_cap(cap)
     checks: list[Check] = []
 
     def report() -> TheoremReport:

@@ -9,9 +9,21 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import InputError
+
+# The most digits an input number may have: the interpreter's default bound on int <-> str
+# conversion. cli.main lifts that bound around a subcommand, so every exact answer prints.
+MAX_DIGITS = sys.int_info.default_max_str_digits
+
+
+def check_digits(text: str) -> None:
+    """Refuse a number written with more than MAX_DIGITS digits."""
+    count = sum(ch.isdigit() for ch in text)
+    if count > MAX_DIGITS:
+        raise InputError(f"input numbers have at most {MAX_DIGITS} digits, got {count}")
 
 
 def to_rational(value) -> Fraction:
@@ -23,6 +35,7 @@ def to_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        check_digits(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -66,10 +79,15 @@ def canonical_json(value) -> str:
     return json.dumps(encode(value), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_int(text: str) -> int:
+    check_digits(text)
+    return int(text)
+
+
 def load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

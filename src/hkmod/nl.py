@@ -36,6 +36,11 @@ def check_i(i: int) -> None:
         raise InputError(f"divisibility must be 1 or 2, got {i}")
 
 
+def check_cap(cap: int) -> None:
+    if cap < 1:
+        raise InputError("cap must be positive")
+
+
 def check_parity(r0: int, i: int) -> None:
     if r0 % 2 != i % 2:
         raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
@@ -207,8 +212,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     check_i(i)
     if e <= 0:
         raise InputError("e must be positive")
-    if cap < 1:
-        raise InputError("cap must be positive")
+    check_cap(cap)
     check_parity(r0, i)
     check_econ(r0, e)
     if (2 * i) % e == 0:

@@ -8,7 +8,7 @@ import pytest
 
 import hkmod
 import hkmod.checks
-from hkmod.cli import build_parser, main
+from hkmod.cli import COMMANDS, build_parser, main
 
 
 @pytest.fixture()
@@ -404,6 +404,50 @@ def test_human_output_is_frozen(capsys, files, argv, code, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# Help and usage text as the parser printed it before it became one table; argparse wraps
+# it to $COLUMNS, and Python 3.10 titles the options group "optional arguments".
+USAGE_ERRORS = {
+    "hkmod": [],
+    **{name: [name] for name in COMMANDS},
+    "verify-all": ["verify-all", "--filter"],  # the one subcommand with no required flag
+    "edge-unknown-command": ["not-a-command"],
+    "edge-json-before-command": ["--json", "walls", "--e", "2", "--d", "3", "--a", "6"],
+    "edge-extra-token": ["walls", "--e", "2", "--d", "3", "--a", "6", "extra"],
+    "edge-missing-value": ["walls", "--e", "2", "--d", "3", "--a"],
+    "edge-unknown-flag": ["walls", "--e", "2", "--d", "3", "--a", "6", "--bogus"],
+    "edge-bad-int": ["walls", "--e", "two", "--d", "3", "--a", "6"],
+    "edge-bad-choice": ["nl", "--kind", "k4", "--e", "4", "--d", "31"],
+}
+
+
+def argparse_text(text):
+    return text.replace("optional arguments:", "options:")
+
+
+HELP_CALLS = [
+    ("hkmod", ["--help"]),
+    ("hkmod", ["-h", "walls"]),  # -h before the command asks for the top-level help
+    *((name, [name, "--help"]) for name in COMMANDS),
+]
+
+
+@pytest.mark.parametrize(
+    "golden, argv", HELP_CALLS, ids=[" ".join(argv) for _, argv in HELP_CALLS]
+)
+def test_help_is_frozen(capsys, monkeypatch, golden, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, argv)
+    golden_text = (GOLDEN / "help" / f"{golden}.txt").read_text()
+    assert (code, argparse_text(out), err) == (0, golden_text, "")
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_usage_errors_are_frozen(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, USAGE_ERRORS[name])
+    assert (code, out, err) == (2, "", (GOLDEN / "usage" / f"{name}.txt").read_text())
+
+
 def test_argparse_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["walls"])
@@ -503,6 +547,11 @@ GATE_REFUSALS = [
      "error: divisibility must be 1 or 2, got 3"),
     (["unicita", "--i", "2", "--r0", "0", "--e", "6"], 2,
      "error: r0 must be a positive integer, got 0"),
+    # the cap is refused before the econ check and the parity check can end the report
+    (["unicita", "--i", "2", "--r0", "2", "--e", "8", "--cap", "0"], 2,
+     "error: cap must be positive"),
+    (["unicita", "--i", "1", "--r0", "2", "--e", "6", "--cap", "0"], 2,
+     "error: cap must be positive"),
     (["sweep-econ", "--r0max", "0", "--emax", "10"], 2,
      "error: --r0max and --emax must be positive"),
     (["nl", "--kind", "hk", "--i", "3", "--e", "4", "--d", "51"], 2,
@@ -554,3 +603,52 @@ def test_cap_is_refused_outside_the_searches(capsys, files, argv):
 def test_parameter_gate_refusals(capsys, argv, code, err):
     """Each parameter refusal the CLI can reach: exact exit code and stderr line."""
     assert run(capsys, argv) == (code, "", err + "\n")
+
+
+# Numbers past the interpreter's 4300-digit bound on int <-> str conversion, written as text
+# so that the test itself converts none of them.
+TEN_2200 = "1" + "0" * 2200
+DIGITS_5001 = "1" + "0" * 5000
+BOUND = "input numbers have at most 4300 digits, got 5001\n"
+TOO_MANY = "error: " + BOUND
+# argparse refuses an int flag past the bound after the subcommand's usage lines
+WALLS_USAGE = "".join((GOLDEN / "usage" / "walls.txt").read_text().splitlines(True)[:2])
+HUGE_FILES = {
+    "setup_5001": '{"n": 1, "c_x": 1, "gram": [[%s]]}' % DIGITS_5001,
+    "setup_2200": '{"n": 1, "c_x": 1, "gram": [[%s]]}' % TEN_2200,
+    "classes_1": "[[1], [1]]",
+    "classes_2200": "[[%s], [1]]" % TEN_2200,
+    "ns_1": '{"gram": [[1]]}',
+    "v_odd": '{"r": 1, "l": [%s], "s": 0}' % (TEN_2200[:-1] + "1"),
+}
+HUGE_CASES = [
+    (["fujiki", "--setup", "@setup_5001", "--classes", "@classes_1"], 2, "", TOO_MANY),
+    # an exact answer of 4401 digits: 10^2200 * 10^2200 * 1
+    (["fujiki", "--setup", "@setup_2200", "--classes", "@classes_2200"], 0,
+     "value: 1" + "0" * 4400 + "\nmatchings: 1\nn: 1\nc_x: 1\n", ""),
+    # the refusal names the odd self-pairing (10^2200 + 1)^2 in full
+    (["mukai", "--ns", "@ns_1", "--v", "@v_odd"], 1, "",
+     "refused: self-pairing 1" + "0" * 2199 + "2" + "0" * 2199 + "1"
+     + " is odd; the ambient lattice is not even\n"),
+    (["walls", "--e", "2", "--d", "3", "--a", DIGITS_5001], 2, "", TOO_MANY),
+    (["walls", "--e", DIGITS_5001, "--d", "3", "--a", "1"], 2, "",
+     WALLS_USAGE + "hkmod walls: error: argument --e: " + BOUND),
+    # a p/q level counts the digits of p and q together
+    (["walls", "--e", "2", "--d", "3", "--a", DIGITS_5001[:-1] + "/3"], 2, "", TOO_MANY),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", HUGE_CASES,
+                         ids=["json-int", "answer", "refusal", "argv-a", "argv-int", "argv-p/q"])
+def test_huge_numbers_keep_the_exit_code_contract(
+    capsys, monkeypatch, tmp_path, argv, code, out, err
+):
+    """Input past the digit bound exits 2; every exact answer and refusal prints in full."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width WALLS_USAGE was wrapped to
+    for name, text in HUGE_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    limit = sys.get_int_max_str_digits()
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    assert run(capsys, argv) == (code, out, err)
+    assert sys.get_int_max_str_digits() == limit  # main lifts the bound only while it runs
+

@@ -7,18 +7,21 @@ on stderr, a failed verdict in its report on stdout. The numeric flags of
 walls, nl, nl-search, unicita, sweep-econ and verify-all get the same
 contract on small argv values, with argparse's usage error counted as exit 2.
 Integers stay small and numeric strings stay short, so no case reaches the scans
-that nothing bounds yet (a wall level of 10**9, say).
+that nothing bounds yet (a wall level of 10**9, say). The one exception is a number
+past the input digit bound, which every reader refuses before any scan.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkmod import cli
 from hkmod.cli import main
 
 SCENARIO_VECTORS = {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]}
@@ -57,12 +60,24 @@ KEYS = st.sampled_from(
 STRINGS = st.sampled_from(
     ["", "1/2", "-3", "1/0", " 2", "K3^[2]", "Kum_2", "vbk3ell", "casoprim", "twist"]
 ) | st.text("ab/", max_size=4)
-SCALARS = st.none() | st.booleans() | st.integers(-10, 10) | STRINGS
+# 10**4301, one value past the input digit bound: built, not written as a literal, since
+# hypothesis prints its strategies and json.dumps writes it only with the bound lifted
+HUGE = st.builds(pow, st.just(10), st.just(4301))
+SCALARS = st.none() | st.booleans() | st.integers(-10, 10) | HUGE | STRINGS
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
     max_leaves=16,
 )
+
+
+def dumps(value) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -81,7 +96,7 @@ def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
         paths = {}
         for name in names:
             path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(value if name == replaced else FILES[name]))
+            path.write_text(dumps(value if name == replaced else FILES[name]))
             paths["@" + name] = str(path)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([paths.get(a, a) for a in argv])
@@ -93,14 +108,14 @@ def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
 
 
 # Argv values for the numeric flags: ints in [-10, 40], weighted toward the small positive
-# ones most parameters need, short p/q strings, and strings that are not integers.
-# Magnitudes stay small for the same reason as above: `walls --a 1e7` is a scan that
-# nothing bounds yet.
+# ones most parameters need, short p/q strings, strings that are not integers, and one
+# number past the input digit bound. Other magnitudes stay small for the same reason as
+# above: `walls --a 1e7` is a scan that nothing bounds yet.
 INTS = (st.integers(0, 8) | st.integers(-10, 40)).map(str)
 ARG_VALUES = (
     INTS
     | st.builds("{}/{}".format, st.integers(-10, 40), st.integers(-3, 9))
-    | st.sampled_from(["1.5", "1e1", "nan", "inf", "", "abc", "0x10", "1/0"])
+    | st.sampled_from(["1.5", "1e1", "nan", "inf", "", "abc", "0x10", "1/0", "1" * 4301])
 )
 # the subcommand with its fixed arguments, then the flags that take a drawn value
 ARGV_COMMANDS = {
@@ -142,3 +157,9 @@ def test_any_numeric_argv_keeps_the_exit_code_contract(command, data):
         assert stderr.startswith(("error:", "refused:", "usage:")), stderr
     else:
         assert not stderr
+
+
+def test_every_subcommand_is_fuzzed():
+    fuzzed = {argv[0] for argv in COMMANDS.values()}
+    fuzzed |= {fixed[0] for fixed, _ in ARGV_COMMANDS.values()}
+    assert fuzzed == set(cli.COMMANDS)

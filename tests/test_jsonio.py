@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hkmod.errors import InputError
-from hkmod.jsonio import canonical_json, encode, load_json_file, to_int, to_rational
+from hkmod.jsonio import (
+    MAX_DIGITS, canonical_json, encode, load_json_file, to_int, to_rational,
+)
 from hkmod.lattice import vec
 
 
@@ -51,6 +53,21 @@ def test_load_json_file(tmp_path):
         load_json_file(bad)
     with pytest.raises(InputError, match="cannot read"):
         load_json_file(tmp_path / "absent.json")
+
+
+def test_input_numbers_have_at_most_max_digits(tmp_path):
+    """At the bound a number reads as the interpreter's int would; one digit more is refused."""
+    at, past = "-" + "9" * MAX_DIGITS, "1" + "0" * MAX_DIGITS
+    path = tmp_path / "n.json"
+    path.write_text(f"[{at}]")
+    assert load_json_file(path) == [1 - 10**MAX_DIGITS]
+    for text in (f"[{past}]", f'{{"k": [-{past}]}}'):
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"at most {MAX_DIGITS} digits, got {MAX_DIGITS + 1}"):
+            load_json_file(path)
+    assert to_rational(at) == 1 - 10**MAX_DIGITS
+    with pytest.raises(InputError, match=f"at most {MAX_DIGITS} digits"):
+        to_rational(past[:-1] + "/3")
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
