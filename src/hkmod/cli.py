@@ -9,10 +9,11 @@ mathematical check, 2 malformed input, 3 search cap exceeded.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
-from .jsonio import canonical_json, check_digits, encode, load_json_file, to_int, to_rational
+from .jsonio import _parse, canonical_json, encode, load_json_file, to_int, to_rational
 from .lattice import IntLattice, lattice_from_json, latvec_from_json, pair
 from .verify import verify_all  # the runner only: the checks load when verify-all runs
 
@@ -26,12 +27,8 @@ def _timestamp() -> str:
 
 
 def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (list, dict)) and not value:
-        return "[]" if isinstance(value, list) else "{}"
+    if value is None or isinstance(value, (bool, list, dict)):
+        return json.dumps(value)  # true, false, null, [] or {}
     return str(value)
 
 
@@ -64,14 +61,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _int(text: str) -> int:
-    """argparse type: int, refusing more digits than jsonio.MAX_DIGITS."""
+    """argparse type: an integer of the jsonio grammar (no p/q), within jsonio.MAX_DIGITS."""
     try:
-        check_digits(text)
-        return int(text)
+        return _parse(text, rational=False)
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:  # argparse's own wording for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _ns_v(args):

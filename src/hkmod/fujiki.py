@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InputError
-from .jsonio import to_rational
+from .jsonio import _parse, to_rational
 from .lattice import IntLattice, LatVec, pair
 from .record import Record, setfield
 
@@ -38,7 +38,7 @@ def parse_kind(kind: str) -> tuple[str, int]:
         raise InputError(f"deformation type must be a string, got {kind!r}")
     m = _KIND_RE.fullmatch(kind)
     if m:
-        return ("K3^[n]" if m.group(1) else "Kum_n"), int(m.group(1) or m.group(2))
+        return ("K3^[n]" if m[1] else "Kum_n"), _parse(m[1] or m[2], rational=False)
     if kind in _FIXED_N:
         return kind, _FIXED_N[kind]
     raise InputError(f"unknown deformation type {kind!r}")

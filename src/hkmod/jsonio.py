@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -18,12 +19,23 @@ from .errors import InputError
 # conversion. cli.main lifts that bound around a subcommand, so every exact answer prints.
 MAX_DIGITS = sys.int_info.default_max_str_digits
 
+# The one grammar of an input number, inside surrounding whitespace: an optional sign and ASCII
+# digits, then in a rational only "/" and a positive ASCII integer ([0-9]: \d takes any digit)
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
-def check_digits(text: str) -> None:
-    """Refuse a number written with more than MAX_DIGITS digits."""
-    count = sum(ch.isdigit() for ch in text)
+
+def _parse(text: str, rational: bool) -> int | Fraction:
+    """The number text writes in _NUMBER, p/q only if rational, in at most MAX_DIGITS digits
+    (p and q together, counted before int() reads any: cli.main lifts its bound)."""
+    match = _NUMBER.fullmatch(text.strip())
+    if match is None or (match[2] is not None and not rational):
+        raise InputError(f"cannot parse rational from {text!r}" if rational
+                         else f"invalid int value: {text!r}")  # argparse's type=int wording
+    p, q = match.groups()
+    count = len(p.lstrip("+-")) + len(q or "")
     if count > MAX_DIGITS:
         raise InputError(f"input numbers have at most {MAX_DIGITS} digits, got {count}")
+    return int(p) if q is None else Fraction(int(p), int(q))
 
 
 def to_rational(value) -> Fraction:
@@ -35,11 +47,7 @@ def to_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        check_digits(value)
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse rational from {value!r}") from exc
+        return Fraction(_parse(value, rational=True))
     raise InputError(f"cannot parse rational from {value!r} of type {type(value).__name__}")
 
 
@@ -79,15 +87,10 @@ def canonical_json(value) -> str:
     return json.dumps(encode(value), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _json_int(text: str) -> int:
-    check_digits(text)
-    return int(text)
-
-
 def load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=lambda text: _parse(text, rational=False))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -71,13 +71,15 @@ def ns_from_json(data) -> IntLattice:
 
 
 def as_elliptic(ns) -> EllipticNS:
-    """Coerce an EllipticNS or a matching rank-2 IntLattice."""
+    """Coerce an EllipticNS or a matching rank-2 IntLattice, kept as the result's lattice."""
     if isinstance(ns, EllipticNS):
         return ns
     if isinstance(ns, IntLattice):
         if ns.rank != 2 or ns.gram[1][1] != 0 or ns.gram[0][1] <= 0:
             raise InputError("lattice is not of the form [[e, d], [d, 0]] with d > 0")
-        return EllipticNS(ns.gram[0][0], ns.gram[0][1])
+        elliptic = EllipticNS(ns.gram[0][0], ns.gram[0][1])
+        vars(elliptic)["lattice"] = ns  # where cached_property keeps it: no second build
+        return elliptic
     raise InputError(f"cannot interpret {type(ns).__name__} as an elliptic lattice")
 
 

@@ -158,10 +158,13 @@ def test_fujiki_output(capsys, files):
         # a kind is matched whole, with ASCII digits only
         ({"kind": "K3^[2]\n"}, 2, "error: unknown deformation type 'K3^[2]\\n'\n"),
         ({"kind": "Kum_\u0662"}, 2, "error: unknown deformation type 'Kum_\u0662'\n"),
+        # the n a kind names is an input number: the digit bound holds for it too
+        ({"kind": "Kum_" + "1" * 4301}, 2, "error: input numbers have at most 4300 digits, "
+                                           "got 4301\n"),
         ({"n": 2}, 2, "error: setup needs 'kind' or both 'n' and 'c_x'\n"),
     ],
     ids=["same-n", "K3^[2]-n3", "OG6-n2", "K3^[n]", "Kum_n", "trailing-newline",
-         "arabic-indic-digit", "no-kind-no-c_x"],
+         "arabic-indic-digit", "digit-bound", "no-kind-no-c_x"],
 )
 def test_fujiki_kind_names_its_own_n(capsys, files, tmp_path, setup, code, err):
     path = tmp_path / "setup.json"
@@ -459,7 +462,7 @@ def test_argparse_usage_errors():
         main([])
 
 
-def run_child(*args):
+def run_child(*args, timeout=60):
     """Run the interpreter with args; the child imports the same hkmod as this test."""
     src = str(Path(hkmod.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -467,7 +470,7 @@ def run_child(*args):
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -652,3 +655,45 @@ def test_huge_numbers_keep_the_exit_code_contract(
     assert run(capsys, argv) == (code, out, err)
     assert sys.get_int_max_str_digits() == limit  # main lifts the bound only while it runs
 
+
+# Forms off the one number grammar (an optional sign, ASCII digits and, in a level only, "/" and
+# a positive ASCII integer), refused alike on every supported Python
+OFF_GRAMMAR = ["1e3", "1.5", "1_000", "1 / 2", "\u0663", "+-1", "1_0/2"]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_a_level_off_the_grammar_is_refused(capsys, text):
+    assert run(capsys, ["walls", "--e", "2", "--d", "3", "--a", text]) == (
+        2, "", f"error: cannot parse rational from {text!r}\n"
+    )
+
+
+@pytest.mark.parametrize("text", [*OFF_GRAMMAR, "6/2"])
+def test_an_integer_flag_off_the_grammar_is_a_usage_error(capsys, monkeypatch, text):
+    monkeypatch.setenv("COLUMNS", "80")  # the width WALLS_USAGE was wrapped to
+    assert run(capsys, ["walls", "--e", text, "--d", "3", "--a", "6"]) == (
+        2, "", WALLS_USAGE + f"hkmod walls: error: argument --e: invalid int value: {text!r}\n"
+    )
+
+
+def test_a_number_in_a_json_string_keeps_the_grammar(capsys, files, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text('{"r": 1, "l": [0, 1], "s": "1e5000"}')
+    assert run(capsys, ["mukai", "--ns", files["ns"], "--v", str(path)]) == (
+        2, "", "error: cannot parse rational from '1e5000'\n"
+    )
+    path.write_text('{"r": 1, "l": [0, 1], "s": " -8/2 "}')
+    assert run(capsys, ["mukai", "--ns", files["ns"], "--v", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("level", ["1e5000", "1e100000000"])
+def test_a_short_exponent_form_exits_2_at_once(level):
+    """An exponent form is refused before any integer is built, so a level that would ask for
+    a 10^8-digit integer, or scan a 5001-digit one, exits 2 at once.
+
+    A child process with a timeout, so that a reader which expanded it would fail the test
+    rather than hang the run."""
+    proc = run_child("-m", "hkmod", "walls", "--e", "2", "--d", "3", "--a", level, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot parse rational from {level!r}\n"
+    )

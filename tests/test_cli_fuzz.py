@@ -7,8 +7,9 @@ on stderr, a failed verdict in its report on stdout. The numeric flags of
 walls, nl, nl-search, unicita, sweep-econ and verify-all get the same
 contract on small argv values, with argparse's usage error counted as exit 2.
 Integers stay small and numeric strings stay short, so no case reaches the scans
-that nothing bounds yet (a wall level of 10**9, say). The one exception is a number
-past the input digit bound, which every reader refuses before any scan.
+that nothing bounds yet (a wall level of 10**9, say). The exceptions are a number past the
+input digit bound and a short exponent form such as 1e100000000, which every reader refuses
+before any scan.
 """
 
 import contextlib
@@ -108,14 +109,16 @@ def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
 
 
 # Argv values for the numeric flags: ints in [-10, 40], weighted toward the small positive
-# ones most parameters need, short p/q strings, strings that are not integers, and one
-# number past the input digit bound. Other magnitudes stay small for the same reason as
-# above: `walls --a 1e7` is a scan that nothing bounds yet.
+# ones most parameters need, short p/q strings, strings off the number grammar (decimal,
+# exponent, underscore, inner-space and non-ASCII-digit forms, refused before any scan), and
+# one number past the input digit bound. Other magnitudes stay small for the same reason as
+# above: `walls --a 10000000` is a scan that nothing bounds yet.
 INTS = (st.integers(0, 8) | st.integers(-10, 40)).map(str)
 ARG_VALUES = (
     INTS
     | st.builds("{}/{}".format, st.integers(-10, 40), st.integers(-3, 9))
-    | st.sampled_from(["1.5", "1e1", "nan", "inf", "", "abc", "0x10", "1/0", "1" * 4301])
+    | st.sampled_from(["1.5", "1e1", "1e100000000", "1_000", "1 / 2", "\u0663", "nan", "inf",
+                       "", "abc", "0x10", "1/0", "1" * 4301])
 )
 # the subcommand with its fixed arguments, then the flags that take a drawn value
 ARGV_COMMANDS = {

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,26 @@ def test_to_rational():
     for bad in (True, 1.5, "abc", "1/0", None, [1]):
         with pytest.raises(InputError):
             to_rational(bad)
+
+
+# One grammar on every supported Python: an optional sign, ASCII digits and, in a rational,
+# "/" and a positive ASCII integer, inside surrounding whitespace
+@pytest.mark.parametrize("text, value", [
+    (" -7/2 ", Fraction(-7, 2)), ("+3/4", Fraction(3, 4)), ("\t5\n", 5), ("007", 7), ("-0", 0),
+    ("8/2", 4), ("3/004", Fraction(3, 4)),
+])
+def test_number_grammar_accepts(text, value):
+    assert to_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1.5", "1_000", "1 / 2", "\u0663", "+-1", "1_0/2", "1/-2", "1/+2", "1/00", "0x10",
+    "nan", "inf", "", "+", "/2", "1/", "\u0663/2", "1/\u0663", "\uff11",
+])
+def test_number_grammar_refuses(text):
+    """Decimal, exponent, underscore, inner-space and non-ASCII-digit forms are refused."""
+    with pytest.raises(InputError, match="cannot parse rational from"):
+        to_rational(text)
 
 
 def test_to_int():
@@ -68,6 +89,14 @@ def test_input_numbers_have_at_most_max_digits(tmp_path):
     assert to_rational(at) == 1 - 10**MAX_DIGITS
     with pytest.raises(InputError, match=f"at most {MAX_DIGITS} digits"):
         to_rational(past[:-1] + "/3")
+    # the bound holds with the interpreter's own lifted, as cli.main lifts it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(InputError, match=f"got {MAX_DIGITS + 1}"):
+            to_rational(past)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkmod.errors import InputError, MathCheckError
-from hkmod.lattice import lattice, vec
+from hkmod.lattice import IntLattice, lattice, vec
 from hkmod.mukai import MukaiVector, mukai_square
 from hkmod.pipelines import (
     Scenario,
@@ -16,7 +16,7 @@ from hkmod.pipelines import (
     scenario_from_json,
     vbk3ell_pipeline,
 )
-from hkmod.walls import EllipticNS
+from hkmod.walls import EllipticNS, as_elliptic
 
 E4D1 = lattice(((4, 1), (1, 0)))
 H = vec((1, 0))
@@ -149,6 +149,27 @@ def test_run_scenario_dispatch():
         run_scenario(Scenario("casoprim", EllipticNS(4, 1), V))
     with pytest.raises(InputError, match="unknown pipeline 'mystery'"):
         run_scenario(Scenario("mystery", EllipticNS(4, 1), V))
+
+
+@pytest.mark.parametrize("pipeline", ["vbk3ell", "casoprim"])
+def test_an_elliptic_scenario_builds_its_lattice_once(monkeypatch, pipeline):
+    """The {e, d} shorthand's lattice is the one the pipeline pairs in, not a second build."""
+    built = []
+    init = IntLattice.__init__
+
+    def counted(self, rank, gram):
+        built.append(gram)
+        init(self, rank, gram)
+
+    monkeypatch.setattr(IntLattice, "__init__", counted)
+    sc = scenario_from_json({
+        "pipeline": pipeline,
+        "lattices": {"ns": {"e": 4, "d": 1}},
+        "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]},
+    })
+    run_scenario(sc)
+    assert built == [((4, 1), (1, 0))]
+    assert as_elliptic(sc.ns).lattice is sc.ns
 
 
 @settings(max_examples=200, deadline=None)
