@@ -235,7 +235,6 @@ def cmd_rigid(args) -> int:
 
 
 def cmd_nl(args) -> int:
-    from .mukai import MukaiNumerics
     from .nl import nef_isotropic_classes, nl_hk_admissible, nl_k3_admissible
 
     if args.kind == "k3":
@@ -243,6 +242,8 @@ def cmd_nl(args) -> int:
             raise InputError("--kind k3 does not read --i")
         if args.r0 is None or args.vsq is None:
             raise InputError("--kind k3 needs --r0 and --vsq")
+        from .mukai import MukaiNumerics
+
         num = MukaiNumerics.from_square(args.r0, args.vsq)
         rep = nl_k3_admissible(args.e, args.d, num)
     else:

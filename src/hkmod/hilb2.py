@@ -14,7 +14,6 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
-from .fujiki import fujiki_constant, parse_kind
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
 from .nl import (
     DEFAULT_SEARCH_CAP,
@@ -200,6 +199,8 @@ def resemibis_ranks(kind: str, r_max: int) -> list[int]:
     """Ranks r <= r_max of the form r0^n/dd with dd | gcd(r0^n, c_X), for the n the kind fixes."""
     if r_max < 1:
         raise InputError("r_max must be positive")
+    from .fujiki import fujiki_constant, parse_kind  # the one hilb2 routine that needs a Fujiki constant
+
     c = fujiki_constant(kind)
     _, n = parse_kind(kind)
     found = set()

@@ -19,9 +19,7 @@ from .errors import (
 )
 from .jsonio import to_rational
 from .lattice import LatVec, primitive_part, vec
-from .mukai import MukaiNumerics
 from .record import Record, setfield
-from .walls import EllipticNS
 
 DEFAULT_SEARCH_CAP = 10**7
 
@@ -113,6 +111,8 @@ def nef_isotropic_classes(e: int, d: int) -> NefIsotropicClasses:
         raise InputError("d must be positive")
     if e <= 0 or e % 2:
         raise InputError("e must be positive and even")
+    from .walls import EllipticNS  # only this routine needs the wall module
+
     ns = EllipticNS(e, d)
     alpha = primitive_part(ns.lattice, vec((2 * d, -e)))
     q_alpha_h = ns.q(alpha, ns.h)
@@ -138,6 +138,7 @@ def _decide(conditions, details) -> Admissibility:
     return Admissibility(ok=not reasons, reasons=reasons, details=details)
 
 
+# the annotation is never evaluated (PEP 563), so nl need not import mukai for it
 def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
     """Fiber degree large enough that level-a walls vanish and the nef
     isotropic ray is unique, for the surface-case constant a = a(v)."""

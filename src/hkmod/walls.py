@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 
 from .errors import InputError
 from .jsonio import to_int, to_rational
@@ -168,23 +168,24 @@ def is_suitable(ns: EllipticNS, a) -> SuitabilityReport:
 def min_negative_norm(ns: EllipticNS) -> int:
     """Smallest |q(w)| over integral classes with q(w) < 0.
 
-    For fixed x >= 1 the minimum of |x*(e*x + 2*d*y)| over y is
-    x * t0 where t0 = (-e*x) mod 2d, replacing a zero residue by 2d.
-    Only x values below the running best can improve it.
+    For fixed x >= 1 the minimum of |x*(e*x + 2*d*y)| over y is x*t,
+    where t = (-e*x) mod 2d with a zero residue read as 2d. At x = 1
+    this is at most 2d, so a minimizer has x*t <= 2d and so
+    min(x, t) <= isqrt(2d). Scan x up to that bound; then, for each
+    such t that g = gcd(e, 2d) divides, solve -e*x = t (mod 2d) for
+    the least x >= 1 with one inverse of e/g mod 2d/g. O(sqrt(d)).
     """
     if ns.e < 0:
         raise InputError("needs e >= 0 so negative-norm classes have x != 0")
-    e, d = ns.e, ns.d
-    best = None
-    x = 1
-    while best is None or x <= best:
-        t0 = (-e * x) % (2 * d)
-        if t0 == 0:
-            t0 = 2 * d
-        cand = x * t0
-        if best is None or cand < best:
-            best = cand
-        x += 1
+    e, n = ns.e, 2 * ns.d
+    root = isqrt(n)
+    best = min(x * ((-e * x) % n or n) for x in range(1, root + 1))
+    g = gcd(e, n)
+    if g <= root:  # at e = 0, g = 2d exceeds root and no t qualifies
+        m = n // g
+        inverse = pow(e // g, -1, m)
+        for t in range(g, root + 1, g):
+            best = min(best, ((-(t // g) * inverse) % m or m) * t)
     return best
 
 

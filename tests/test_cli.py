@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import hkmod
 import hkmod.checks
+from hkmod.__main__ import run as run_process
 from hkmod.cli import COMMANDS, build_parser, main
 
 
@@ -481,6 +483,38 @@ def test_module_entry_point_subprocess():
     assert "count: 2" in proc.stdout
 
 
+RUN_ENTRY = "from hkmod.__main__ import run; raise SystemExit(run())"
+EXIT_PATHS = {
+    "answer": ["walls", "--e", "2", "--d", "3", "--a", "6"],
+    "refusal": ["nl-search", "--r0", "2", "--e", "8"],
+    "usage-error": ["walls", "--e", "two", "--d", "3", "--a", "6"],
+    "help": ["walls", "--help"],
+}
+
+
+@pytest.mark.parametrize("argv", EXIT_PATHS.values(), ids=EXIT_PATHS)
+@pytest.mark.parametrize("entry", [("-m", "hkmod"), ("-c", RUN_ENTRY)], ids=["-m", "run"])
+def test_process_entry_points_match_main_in_process(capsys, monkeypatch, entry, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, argv)
+    proc = run_child(*entry, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_only_the_process_entry_point_freezes_the_heap(capsys, monkeypatch):
+    argv = ["walls", "--e", "2", "--d", "3", "--a", "6"]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen  # library and test callers keep collecting
+    monkeypatch.setattr(sys, "argv", ["hkmod", *argv])
+    try:
+        assert run_process() == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert "count: 2" in capsys.readouterr().out
+
+
 def test_reduce_refuses_start_below_rigid_bound(capsys, files, tmp_path):
     ns = tmp_path / "ns2.json"
     ns.write_text(json.dumps({"e": 2, "d": 1}))
@@ -499,26 +533,31 @@ def test_reduce_refuses_start_below_rigid_bound(capsys, files, tmp_path):
     assert proc.stderr.startswith("refused:") and "Traceback" not in proc.stderr
 
 
+# Runs `hkmod.cli.main(sys.argv[1:])` in a fresh interpreter and reports the hkmod modules
+# that `import hkmod`, `import hkmod.cli` and then the subcommand itself each loaded.
 IMPORT_FOOTPRINT = """\
 import io, json, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 def loaded():
     return {m for m in sys.modules if m == "hkmod" or m.startswith("hkmod.")}
 import hkmod
 package = loaded()
 import hkmod.cli
 cli = loaded() - package
-with redirect_stdout(io.StringIO()):
-    code = hkmod.cli.main(["walls", "--e", "2", "--d", "3", "--a", "6"])
-walls = loaded() - package - cli
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    try:
+        code = hkmod.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+command = loaded() - package - cli
 std = [m for m in ("dataclasses", "datetime") if m in sys.modules]
-print(json.dumps([sorted(package), sorted(cli), code, sorted(walls), std]))
+print(json.dumps([sorted(package), sorted(cli), code, sorted(command), std]))
 """
 
 
 def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
     """Each entry point loads only the hkmod modules it runs."""
-    proc = run_child("-c", IMPORT_FOOTPRINT)
+    proc = run_child("-c", IMPORT_FOOTPRINT, "walls", "--e", "2", "--d", "3", "--a", "6")
     assert proc.returncode == 0, proc.stderr
     package, cli, code, walls, std = json.loads(proc.stdout)
     assert package == ["hkmod", "hkmod.errors", "hkmod.jsonio", "hkmod.lattice", "hkmod.record"]
@@ -526,6 +565,44 @@ def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
     assert "hkmod.verify" in cli
     assert cli == ["hkmod.cli", "hkmod.report", "hkmod.verify"]
     assert code == 0 and walls == ["hkmod.walls"]
+    assert std == []
+
+
+# argv (file names are keys of the files fixture), exit code, and the modules the subcommand
+# loads beyond those of `import hkmod.cli`
+FOOTPRINTS = [
+    (["fujiki", "--setup", "fujiki_setup", "--classes", "fujiki_classes"], 0, ["fujiki"]),
+    (["mukai", "--ns", "ns", "--v", "v"], 0, ["mukai", "walls"]),
+    (["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability"], 1, ["walls"]),
+    (["reduce", "--ns", "ns", "--v", "v3", "--steps", "steps"], 0,
+     ["mukai", "reduction", "walls"]),
+    (["rigid", "--ns", "ns", "--v", "v"], 0, ["mukai", "reduction", "walls"]),
+    (["nl", "--kind", "hk", "--e", "3", "--d", "74", "--i", "1"], 0, ["nl"]),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, ["nl", "walls"]),
+    (["nl", "--kind", "k3", "--e", "4", "--d", "51", "--r0", "2", "--vsq", "0"], 0,
+     ["mukai", "nl", "walls"]),
+    (["nl-search", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
+    (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
+    (["vbk3ell", "--scenario", "scenario_vb"], 0, ["mukai", "pipelines", "walls"]),
+    (["casoprim", "--scenario", "scenario_cp"], 0, ["mukai", "pipelines", "walls"]),
+    (["sweep-econ", "--r0max", "2", "--emax", "20"], 0, ["hilb2", "nl"]),
+    (["verify-all", "--filter", "lattice"], 0,
+     ["checks", "fujiki", "hilb2", "mukai", "nl", "pipelines", "reduction", "walls"]),
+    (["walls", "--e", "two", "--d", "3", "--a", "6"], 2, []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, extra", FOOTPRINTS, ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS]
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(files, argv, code, extra):
+    proc = run_child("-c", IMPORT_FOOTPRINT, *(files.get(a, a) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    package, cli, got_code, command, std = json.loads(proc.stdout)
+    base = {m.removeprefix("hkmod.") for m in package + cli}
+    assert base == {"hkmod", "cli", "errors", "jsonio", "lattice", "record", "report", "verify"}
+    assert got_code == code
+    assert command == [f"hkmod.{m}" for m in extra]
     assert std == []
 
 

@@ -267,7 +267,7 @@ def test_every_public_name_is_run_by_the_cli_or_verify_all(tmp_path):
 
     seen = codes_run(run)
     assert sorted(argv[0] for argv in commands) == sorted(COMMANDS)
-    # __init__ only re-exports, and importing __main__ would run the CLI
+    # __init__ only re-exports; __main__.run is the process entry, which test_cli runs
     modules = [
         importlib.import_module(f"hkmod.{p.stem}") for p in SOURCES if not p.stem.startswith("__")
     ]

@@ -125,6 +125,39 @@ def test_min_negative_norm_frozen():
         min_negative_norm(EllipticNS(-2, 1))
 
 
+def min_negative_norm_x_loop(e, d):
+    """The O(d/gcd(e, 2d)) x-loop min_negative_norm used before its square-root split: for
+    each x >= 1 up to the running best, the least |q| is x * ((-e*x) mod 2d, 0 read as 2d)."""
+    best = None
+    x = 1
+    while best is None or x <= best:
+        t0 = (-e * x) % (2 * d)
+        if t0 == 0:
+            t0 = 2 * d
+        cand = x * t0
+        if best is None or cand < best:
+            best = cand
+        x += 1
+    return best
+
+
+def test_min_negative_norm_matches_the_x_loop_exhaustively():
+    for e in range(41):
+        for d in range(1, 151):
+            assert min_negative_norm(EllipticNS(e, d)) == min_negative_norm_x_loop(e, d), (e, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**4), st.integers(1, 2 * 10**4))
+def test_min_negative_norm_matches_the_x_loop_at_random(e, d):
+    assert min_negative_norm(EllipticNS(e, d)) == min_negative_norm_x_loop(e, d)
+
+
+def test_min_negative_norm_frozen_at_large_d():
+    # the x-loop runs x up to 10^8 here, about 24 s
+    assert min_negative_norm(EllipticNS(2, 50_000_000)) == 99_999_998
+
+
 def test_no_wall_threshold_frozen():
     assert no_wall_threshold(4, 12) == 31
     assert no_wall_threshold(2, 6) == 10
