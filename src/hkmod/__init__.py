@@ -38,7 +38,7 @@ _NAMES = {
     "verify": ("VerifySummary", "verify_all"),
     "walls": ("EllipticNS", "SuitabilityReport", "WallClass", "as_elliptic",
               "enumerate_wall_classes", "is_suitable", "min_negative_norm", "no_wall_threshold",
-              "suitability_for", "wall_ray"),
+              "orthogonal_wall", "suitability_for", "wall_ray"),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 

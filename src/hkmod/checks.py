@@ -349,10 +349,24 @@ def rays_orthogonal_positive_primitive(rng):
 
 
 def unsuitability_witnesses_violate_signs(rng):
+    """is_suitable against the sign rule, and orthogonal_wall against the
+    box-scan walls that pair to 0 with h: for h itself and for "p/q"
+    polarizations orthogonal to the first and last wall and to the class
+    (1, y - 1) just beyond the level, (1, y) being the first wall."""
     for e, d, a in ((2, 3, 6), (4, 1, 12), (6, 5, 20)):
         ns = walls.EllipticNS(e, d)
         if walls.is_suitable(ns, a) != _two_sign_suitability(ns, a, ns.h):
             return False, {"e": e, "d": d}
+        lat = ns.lattice
+        box = _brute_walls(e, d, Fraction(a))
+        perps = [vec((Fraction(d * x, 2), Fraction(-(e * x + d * y), 2)))
+                 for x, y in (box[0], box[-1], (1, box[0][1] - 1))]
+        for h in (ns.h, *perps):
+            want = [walls.WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pair(lat, lam, ns.f))
+                    for lam in map(vec, box) if pair(lat, lam, h) == 0]
+            wall = walls.orthogonal_wall(ns, a, h)
+            if ([] if wall is None else [wall]) != want:
+                return False, {"e": e, "d": d, "h": h.to_json_dict()}
     return True
 
 

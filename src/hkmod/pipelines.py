@@ -26,19 +26,12 @@ from .mukai import MukaiVector, mukai_from_json, numerics
 from .record import Record, setfield
 from .report import Check, TheoremReport
 from .walls import (
-    EllipticNS,
     SuitabilityReport,
     as_elliptic,
     ns_from_json,
+    orthogonal_wall,
     suitability_for,
 )
-
-
-def _suitability(ns: EllipticNS, a: Fraction, h: LatVec) -> SuitabilityReport:
-    # A nonpositive level means the wall set is empty by definition.
-    if a <= 0:
-        return SuitabilityReport(suitable=True, generic=True, witnesses=())
-    return suitability_for(ns, a, h)
 
 
 def vbk3ell_pipeline(ns, v: MukaiVector, h: LatVec | None = None) -> TheoremReport:
@@ -59,7 +52,10 @@ def vbk3ell_pipeline(ns, v: MukaiVector, h: LatVec | None = None) -> TheoremRepo
         ),
         Check("rank_coprime_to_fiber_degree", gcd(v.r, k) == 1, {"r": v.r, "k": k}),
     )
-    suit = _suitability(ns, num.a_v, h_use)
+    if num.a_v > 0:
+        suit = suitability_for(ns, num.a_v, h_use)
+    else:  # a nonpositive level means the wall set is empty by definition
+        suit = SuitabilityReport(suitable=True, generic=True, witnesses=())
     return TheoremReport(
         theorem="vbk3ell",
         checks=checks,
@@ -83,8 +79,8 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
         raise InputError("polarization must have positive self-pairing")
     num = numerics(lat, v)
     c = content(v.l)
-    # a wall orthogonal to h pairs to 0 <= 0 with it, so it is a witness
-    orthogonal = [w for w in _suitability(ns, num.a_v, h).witnesses if pair(lat, w.lam, h) == 0]
+    wall = orthogonal_wall(ns, num.a_v, h) if num.a_v > 0 else None
+    orthogonal = [] if wall is None else [wall]
     checks = (
         Check(
             "square_at_least_rigid_bound",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 
 from .errors import InputError
 from .jsonio import to_int, to_rational
@@ -141,24 +141,48 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     return out
 
 
-def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
-    """Sign test of every wall class of level a against h.
+def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
+    """The wall class of level a orthogonal to h, or None if there is none.
 
-    Every wall pairs positively with f (pair_f = d*x > 0), so h is
-    suitable iff each wall pairs positively with h too; the witnesses
-    are the walls with pair(lam, h) <= 0. Generic means no wall is
-    orthogonal to h.
+    h^perp has rank 1, spanned by (d*h1, -(e*h1 + d*h2)); q(h) > 0 forces
+    h1 != 0, so its primitive generator with x >= 1 is unique and, h being
+    positive, of negative norm. It is a wall exactly when that norm is at
+    least -a. Coordinates of h are scaled to integers by the lcm of their
+    denominators first. O(1) in a.
     """
     if ns.q(h) <= 0:
         raise InputError("polarization must have positive self-pairing")
-    lat = ns.lattice
-    pairings = [(wall, pair(lat, wall.lam, h)) for wall in enumerate_wall_classes(ns, a)]
-    witnesses = tuple(wall for wall, ph in pairings if ph <= 0)
-    return SuitabilityReport(
-        suitable=not witnesses,
-        generic=all(ph != 0 for _, ph in pairings),
-        witnesses=witnesses,
+    a = to_rational(a)
+    if a <= 0:
+        raise InputError(f"level must be positive, got {a}")
+    e, d = ns.e, ns.d
+    h1, h2 = h.coords  # ints and Fractions both carry numerator and denominator
+    scale = lcm(h1.denominator, h2.denominator)
+    h1, h2 = h1.numerator * (scale // h1.denominator), h2.numerator * (scale // h2.denominator)
+    x, y = d * h1, -(e * h1 + d * h2)
+    g = gcd(x, y) if x > 0 else -gcd(x, y)
+    x, y = x // g, y // g
+    q = x * (e * x + 2 * d * y)
+    if q < -a:
+        return None
+    return WallClass(lam=vec((x, y)), norm=q, pair_h=e * x + d * y, pair_f=d * x)
+
+
+def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
+    """Suitability and genericity of h for the wall classes of level a.
+
+    Every wall pairs positively with f (pair_f = d*x > 0), so h is
+    suitable iff each wall pairs positively with h too; the witnesses
+    are the walls with lam.h = h1*pair_h + h2*pair_f <= 0, read from the
+    fields each wall stores. Generic means no wall is orthogonal to h,
+    which orthogonal_wall decides without the enumeration.
+    """
+    generic = orthogonal_wall(ns, a, h) is None
+    h1, h2 = h.coords
+    witnesses = tuple(
+        wall for wall in enumerate_wall_classes(ns, a) if h1 * wall.pair_h + h2 * wall.pair_f <= 0
     )
+    return SuitabilityReport(suitable=not witnesses, generic=generic, witnesses=witnesses)
 
 
 def is_suitable(ns: EllipticNS, a) -> SuitabilityReport:

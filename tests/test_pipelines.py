@@ -1,5 +1,7 @@
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,26 @@ def test_casoprim():
     assert by_name["rank_coprime_to_content"].passed
     with pytest.raises(InputError):
         casoprim_pipeline(EllipticNS(4, 1), V, vec((0, 1)))
+
+
+LARGE_LEVEL = Path(__file__).with_name("casoprim_large_level.json")
+
+
+def test_casoprim_genericity_does_not_scan_the_walls():
+    # a(v) = 400,012 has about 10^6 wall classes; h^perp holds only (1, -9)
+    v = MukaiVector(2, vec((1, 0)), -100000)
+    start = time.perf_counter()
+    rep = casoprim_pipeline(EllipticNS(4, 1), v, vec((1, 5)))
+    elapsed = time.perf_counter() - start
+    assert rep.data["a"] == 400012
+    assert not rep.verdict
+    assert [c.name for c in rep.failed()] == ["polarization_generic"]
+    assert rep.failed()[0].data["witnesses"] == [
+        {"lambda": [1, -9], "norm": -14, "pair_h": -5, "pair_f": 1}
+    ]
+    assert elapsed < 2, f"casoprim at a = 400012 took {elapsed:.2f}s, budget 2s"
+    # the same scenario is checked in for the console-script timeout in CI
+    assert load_scenario(LARGE_LEVEL) == Scenario("casoprim", E4D1, v, vec((1, 5)))
 
 
 def test_multacca_frozen():

@@ -197,6 +197,16 @@ MUTATIONS = {
         lambda f: lambda e, a: f(e, a) - 1,
         "walls", "threshold_guarantees_empty",
     ),
+    "orthogonal_wall_missed": (
+        walls, "orthogonal_wall",
+        lambda f: lambda ns, a, h: None,
+        "walls", "unsuitability_witnesses_violate_signs",
+    ),
+    "orthogonal_wall_ignores_level": (
+        walls, "orthogonal_wall",
+        lambda f: lambda ns, a, h: f(ns, 10**9, h),
+        "walls", "unsuitability_witnesses_violate_signs",
+    ),
     "ray_is_the_wall": (
         walls, "wall_ray",
         lambda f: lambda ns, wall: wall.lam,

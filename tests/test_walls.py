@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from hkmod import checks
 from hkmod.errors import InputError
-from hkmod.lattice import lattice, pair, vec
+from hkmod.jsonio import to_rational
+from hkmod.lattice import lattice, norm, pair, vec
 from hkmod.walls import (
     EllipticNS,
+    WallClass,
     as_elliptic,
     elliptic_from_json,
     enumerate_wall_classes,
     is_suitable,
     min_negative_norm,
     no_wall_threshold,
+    orthogonal_wall,
     suitability_for,
     wall_ray,
 )
@@ -193,6 +196,17 @@ def test_suitability_reports():
     # half-integral h: q((1, -3), h) = 1/2 is positive, not truncated to 0
     rep4 = suitability_for(ns, 4, vec((Fraction(1, 2), 0)))
     assert [w.lam.int_coords() for w in rep4.witnesses] == [(1, -4)]
+    # h^perp holds one primitive class, (1, -4) of norm -4: a wall from level 4 on
+    assert orthogonal_wall(ns, 12, ns.h) == WallClass(vec((1, -4)), -4, 0, 1)
+    assert orthogonal_wall(ns, 4, vec(("1/2", 0))) == WallClass(vec((1, -4)), -4, 0, 1)
+    assert orthogonal_wall(ns, "7/2", ns.h) is None
+    assert orthogonal_wall(ns, 12, vec((1, 5))) is None
+    with pytest.raises(InputError, match="polarization must have positive self-pairing"):
+        orthogonal_wall(ns, 12, vec((0, 1)))
+    with pytest.raises(InputError, match="level must be positive, got 0"):
+        orthogonal_wall(ns, 0, ns.h)
+    with pytest.raises(InputError, match="level must be positive, got -1/2"):
+        orthogonal_wall(ns, "-1/2", ns.h)
 
 
 def test_wall_ray():
@@ -258,10 +272,22 @@ def test_one_pairing_rule_matches_two_sign_rule(data, e, d, a):
     ns = EllipticNS(e, d)
     h = data.draw(polarization(ns))
     if ns.q(h) > 0:
-        assert suitability_for(ns, a, h) == checks._two_sign_suitability(ns, a, h)
+        rep = suitability_for(ns, a, h)
+        assert rep == checks._two_sign_suitability(ns, a, h)
+        lat = ns.lattice
+        box_orthogonal = [
+            WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pair(lat, lam, ns.f))
+            for lam in map(vec, checks._brute_walls(e, d, to_rational(a)))
+            if pair(lat, lam, h) == 0
+        ]
+        wall = orthogonal_wall(ns, a, h)
+        assert box_orthogonal == ([] if wall is None else [wall])
+        assert rep.generic == (wall is None)
     else:
         with pytest.raises(InputError):
             suitability_for(ns, a, h)
+        with pytest.raises(InputError):
+            orthogonal_wall(ns, a, h)
 
 
 def test_two_sign_oracle_does_not_read_the_enumeration(monkeypatch):
