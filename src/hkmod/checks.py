@@ -445,19 +445,18 @@ def nonlocally_free_dimension_identity(rng):
 
 
 def _brute_min_d(r0: int, e: int, i: int) -> int | None:
-    """Smallest d above nl.buonacompt_bound(r0, e) with i | d and e not dividing 2d,
+    """Smallest d above the bound (5/16)*r0^6*(r0^2-1)*(e+1) with i | d and e not dividing 2d,
     by scanning; None when no d qualifies."""
-    bound = nl.buonacompt_bound(r0, e)
-    start = floor(bound) + 1
+    start = 5 * r0**6 * (r0**2 - 1) * (e + 1) // 16 + 1
     # both conditions depend on d mod i*e only, so one period decides
     return next((d for d in range(start, start + i * e) if d % i == 0 and 2 * d % e != 0), None)
 
 
 def _brute_min_d0(m0: int, r0: int) -> int:
-    """Smallest d0 above nl.rigsuk_bound(m0, r0) coprime to r0, by scanning the box
+    """Smallest d0 above the bound (2*m0+1)*r0^2*(r0^2-1)/4 coprime to r0, by scanning the box
     floor(bound) - r0 < d0 <= floor(bound) + r0: the r0 integers above floor(bound)
     include one that is 1 mod r0."""
-    bound = nl.rigsuk_bound(m0, r0)
+    bound = Fraction((2 * m0 + 1) * r0**2 * (r0**2 - 1), 4)
     top = floor(bound) + r0
     return min(d0 for d0 in range(top - 2 * r0 + 1, top + 1) if d0 > bound and gcd(d0, r0) == 1)
 
@@ -477,6 +476,9 @@ def isotropic_ray_unique_iff_indivisible(rng):
 
 
 def min_d_search_is_minimal(rng):
+    for r0, e, want in ((2, 6, 420), (3, 2, Fraction(10935, 2)), (4, 22, 441600)):
+        if nl.buonacompt_bound(r0, e) != want:
+            return False, {"r0": r0, "e": e, "bound": nl.buonacompt_bound(r0, e), "want": want}
     for r0, e, i in ((2, 6, 2), (1, 4, 1), (2, 22, 2)):
         got, want = nl.buonacompt_min_d(r0, e, i), _brute_min_d(r0, e, i)
         if got != want:
@@ -485,6 +487,9 @@ def min_d_search_is_minimal(rng):
 
 
 def min_d0_search_is_minimal(rng):
+    for m0, r0, want in ((1, 2, 9), (2, 3, 90)):
+        if nl.rigsuk_bound(m0, r0) != want:
+            return False, {"m0": m0, "r0": r0, "bound": nl.rigsuk_bound(m0, r0), "want": want}
     for m0 in range(0, 6):
         for r0 in range(1, 7):
             got, want = nl.rigsuk_min_d0(m0, r0), _brute_min_d0(m0, r0)

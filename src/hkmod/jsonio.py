@@ -67,24 +67,23 @@ def to_int(value, what: str = "value") -> int:
     return q
 
 
-def encode(value):
-    """Map a value (Fractions, tuples, objects with a to_json_dict method) to JSON-ready data."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _exact(value):
+    """json's hook: a Fraction as an int or "p/q", a record as its to_json_dict()."""
     if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
+        return value.numerator if value.denominator == 1 else str(value)
     if hasattr(value, "to_json_dict"):
-        return encode(value.to_json_dict())
+        return value.to_json_dict()
     raise InputError(f"cannot encode {type(value).__name__} as JSON")
+
+
+def encode(value):
+    """JSON-ready data (Fractions written by _exact, tuples as lists), keys in insertion order."""
+    return json.loads(json.dumps(value, default=_exact))
 
 
 def canonical_json(value) -> str:
     """Serialize deterministically: sorted keys, no whitespace, trailing newline."""
-    return json.dumps(encode(value), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(value, default=_exact, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def load_json_file(path: str):

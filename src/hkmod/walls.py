@@ -15,16 +15,7 @@ from math import ceil, floor, gcd, isqrt, lcm
 
 from .errors import InputError
 from .jsonio import to_int, to_rational
-from .lattice import (
-    IntLattice,
-    LatVec,
-    lattice,
-    lattice_from_json,
-    norm,
-    pair,
-    primitive_part,
-    vec,
-)
+from .lattice import IntLattice, LatVec, lattice, lattice_from_json, pair, vec
 from .record import Record, setfield
 
 
@@ -105,6 +96,8 @@ class SuitabilityReport(Record):
     def __init__(self, suitable: bool, generic: bool, witnesses: tuple[WallClass, ...]):
         if not suitable and not witnesses:
             raise InputError("an unsuitable report must carry a witness")
+        if suitable and witnesses:
+            raise InputError("a suitable report carries no witness")
         setfield(self, "suitable", suitable)
         setfield(self, "generic", generic)
         setfield(self, "witnesses", witnesses)
@@ -159,9 +152,7 @@ def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
     h1, h2 = h.coords  # ints and Fractions both carry numerator and denominator
     scale = lcm(h1.denominator, h2.denominator)
     h1, h2 = h1.numerator * (scale // h1.denominator), h2.numerator * (scale // h2.denominator)
-    x, y = d * h1, -(e * h1 + d * h2)
-    g = gcd(x, y) if x > 0 else -gcd(x, y)
-    x, y = x // g, y // g
+    x, y = _perpendicular(e, d, h1, h2)
     q = x * (e * x + 2 * d * y)
     if q < -a:
         return None
@@ -229,14 +220,19 @@ def no_wall_threshold(e: int, a) -> int:
     return floor(a * (1 + e) / 2) + 1
 
 
+def _perpendicular(e: int, d: int, x: int, y: int) -> tuple[int, int]:
+    """Primitive +-(d*x, -(e*x + d*y))/g spanning (x, y)^perp, first coordinate > 0; x != 0."""
+    u, v = d * x, -(e * x + d * y)
+    g = gcd(u, v) if u > 0 else -gcd(u, v)
+    return u // g, v // g
+
+
 def wall_ray(ns: EllipticNS, wall) -> LatVec:
     """Primitive generator of the positive-cone ray orthogonal to a wall."""
     lam = wall.lam if isinstance(wall, WallClass) else wall
     if not isinstance(lam, LatVec) or len(lam) != 2 or not lam.integral:
         raise InputError("wall must be an integral rank-2 class")
-    if norm(ns.lattice, lam) >= 0:
+    x, y = lam.coords
+    if x * (ns.e * x + 2 * ns.d * y) >= 0:
         raise InputError("wall classes have negative norm")
-    x, y = lam.int_coords()
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return primitive_part(ns.lattice, vec((ns.d * x, -(ns.e * x + ns.d * y))))
+    return vec(_perpendicular(ns.e, ns.d, x, y))

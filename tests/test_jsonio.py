@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hkmod.jsonio import (
     MAX_DIGITS, canonical_json, encode, load_json_file, to_int, to_rational,
 )
 from hkmod.lattice import vec
+from hkmod.verify import verify_all
+from test_record import SPECS
 
 
 def test_to_rational():
@@ -57,6 +60,60 @@ def test_encode():
     assert encode(vec((1, -2))) == [1, -2]
     with pytest.raises(InputError):
         encode(object())
+
+
+def walk_encode(value):
+    """encode's former walk, type by type, kept as the oracle of the json round trip."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {str(k): walk_encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [walk_encode(v) for v in value]
+    if hasattr(value, "to_json_dict"):
+        return walk_encode(value.to_json_dict())
+    raise InputError(f"cannot encode {type(value).__name__} as JSON")
+
+
+big = 10**MAX_DIGITS - 1  # the largest int of MAX_DIGITS digits, which json writes unaided
+fractions = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+scalars = st.none() | st.booleans() | st.text() | st.integers(-big, big) | fractions
+vectors = st.lists(st.integers(-50, 50) | fractions, min_size=1, max_size=4).map(vec)
+values = st.recursive(
+    scalars | vectors,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(values)
+def test_json_round_trip_matches_the_walk(value):
+    want = walk_encode(value)
+    got = encode(value)
+    assert got == want and repr(got) == repr(want)  # key order and int/str/bool types too
+    assert canonical_json(value) == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dict_keys(value):
+    """Every dict key inside a value, records read through their to_json_dict."""
+    if hasattr(value, "to_json_dict"):
+        value = value.to_json_dict()
+    if isinstance(value, dict):
+        yield from value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from dict_keys(item)
+
+
+def test_records_write_only_str_keys():
+    """json writes a key True as "true" where the walk wrote "True": no such key reaches it."""
+    samples = [cls(*args) for cls, (_, args, _) in SPECS.items()] + [verify_all()]
+    keys = [key for sample in samples for key in dict_keys(sample)]
+    assert "suites" in keys and [key for key in keys if type(key) is not str] == []
 
 
 def test_canonical_json():

@@ -255,11 +255,15 @@ def test_to_json_dict_keeps_a_missing_ray_as_none():
     "build, message",
     [
         (lambda: walls.SuitabilityReport(False, True, ()), "must carry a witness"),
+        (lambda: walls.SuitabilityReport(True, True, (WALL,)), "carries no witness"),
         (lambda: reduction.ReductionTrace(MV, MV, (), (5, 3)), "one more square than steps"),
         (lambda: reduction.ReductionTrace(MV, MV, (STEP,), (3, 5)), "decrease strictly"),
         (lambda: reduction.ReductionTrace(MV, MV, (STEP,), (0, -4)), "at least -2"),
     ],
-    ids=["unsuitable_without_witness", "squares_and_steps", "squares_increase", "square_below_-2"],
+    ids=[
+        "unsuitable_without_witness", "suitable_with_witness", "squares_and_steps",
+        "squares_increase", "square_below_-2",
+    ],
 )
 def test_inconsistent_record_is_an_input_error(build, message):
     # an exception, not an assert, so python -O refuses it too

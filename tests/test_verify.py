@@ -177,6 +177,16 @@ MUTATIONS = {
         lambda f: lambda e, d, num: nl.Admissibility(True, ()),
         "nl", "admissibility_examples",
     ),
+    "buonacompt_bound_shifted": (
+        nl, "buonacompt_bound",
+        lambda f: lambda r0, e: f(r0, e) + 1,
+        "nl", "min_d_search_is_minimal",
+    ),
+    "rigsuk_bound_shifted": (
+        nl, "rigsuk_bound",
+        lambda f: lambda m0, r0: f(m0, r0) + 1,
+        "nl", "min_d0_search_is_minimal",
+    ),
     "min_d0_may_equal_the_bound": (
         nl, "rigsuk_min_d0",
         lambda f: lambda m0, r0: first_coprime_from(floor(nl.rigsuk_bound(m0, r0)), r0),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hkmod import checks
 from hkmod.errors import InputError
 from hkmod.jsonio import to_rational
-from hkmod.lattice import lattice, norm, pair, vec
+from hkmod.lattice import lattice, norm, pair, primitive_part, vec
 from hkmod.walls import (
     EllipticNS,
     WallClass,
@@ -254,6 +254,30 @@ def test_min_norm_bound(half_e, d):
 
 exact = st.integers(-6, 12) | st.builds("{}/{}".format, st.integers(-20, 40), st.integers(2, 5))
 level = st.integers(1, 12) | st.builds("{}/{}".format, st.integers(1, 40), st.integers(2, 5))
+
+
+def lattice_ray(ns, lam):
+    """wall_ray's former route: flip lam to x > 0, then the lattice's primitive part of
+    (d*x, -(e*x + d*y))."""
+    x, y = lam.int_coords()
+    if x < 0:
+        x, y = -x, -y
+    return primitive_part(ns.lattice, vec((ns.d * x, -(ns.e * x + ns.d * y))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-6, 30), st.integers(1, 12), level, st.integers(-30, 30), st.integers(-30, 30))
+def test_wall_ray_matches_lattice_route(e, d, a, x, y):
+    ns = EllipticNS(e, d)
+    lams = [w.lam for w in enumerate_wall_classes(ns, a)]
+    if x * (e * x + 2 * d * y) < 0:
+        lams.append(vec((x, y)))  # any class of negative norm, primitive or not
+    else:
+        with pytest.raises(InputError, match="negative norm"):
+            wall_ray(ns, vec((x, y)))
+    for lam in lams:
+        for signed in (lam, -1 * lam):
+            assert wall_ray(ns, signed) == lattice_ray(ns, signed)
 
 
 @st.composite
