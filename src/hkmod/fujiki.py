@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InputError
-from .jsonio import _parse, to_rational
+from .jsonio import _check_int, _parse, to_rational
 from .lattice import IntLattice, LatVec, pair
 from .record import Record, setfield
 
@@ -55,6 +55,7 @@ class FujikiSetup(Record):
     """Evaluation context: half-dimension n, Fujiki constant, and the pairing lattice."""
 
     def __init__(self, n: int, c_x: Fraction, pairing: IntLattice):
+        _check_int(n, "n")
         if n < 1:
             raise InputError("n must be positive")
         c_x = to_rational(c_x)
@@ -75,6 +76,7 @@ class FujikiSetup(Record):
 
 def double_factorial(m: int) -> int:
     """Product m(m-2)(m-4)...; equal to 1 for m in {-1, 0}."""
+    _check_int(m, "m")
     if m < -1:
         raise InputError(f"double factorial undefined for {m}")
     out = 1

@@ -67,6 +67,12 @@ def to_int(value, what: str = "value") -> int:
     return q
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse a library integer parameter that is not an int; a float or a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer")
+
+
 def _exact(value):
     """json's hook: a Fraction as an int or "p/q", a record as its to_json_dict()."""
     if isinstance(value, Fraction):

@@ -12,23 +12,21 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MathCheckError
-from .jsonio import to_int
+from .jsonio import _check_int, to_int
 from .lattice import IntLattice, LatVec, latvec_from_json, norm, pair
 from .record import Record, setfield
 
 
 class MukaiVector(Record):
     def __init__(self, r: int, l: LatVec, s: int):
-        if not isinstance(r, int) or isinstance(r, bool):
-            raise InputError("rank must be an integer")
+        _check_int(r, "rank")
         if r < 0:
             raise InputError(f"rank must be nonnegative, got {r}")
         if not isinstance(l, LatVec):
             raise InputError("middle component must be a lattice vector")
         if not l.integral:
             raise InputError("middle component must be integral")
-        if not isinstance(s, int) or isinstance(s, bool):
-            raise InputError("last component must be an integer")
+        _check_int(s, "last component")
         setfield(self, "r", r)
         setfield(self, "l", l)
         setfield(self, "s", s)

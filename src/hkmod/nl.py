@@ -17,7 +17,7 @@ from .errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
-from .jsonio import to_rational
+from .jsonio import _check_int, to_rational
 from .lattice import LatVec, primitive_part, vec
 from .record import Record, setfield
 
@@ -30,11 +30,13 @@ def check_r0(r0: int) -> None:
 
 
 def check_i(i: int) -> None:
+    _check_int(i, "divisibility")
     if i not in (1, 2):
         raise InputError(f"divisibility must be 1 or 2, got {i}")
 
 
 def check_cap(cap: int) -> None:
+    _check_int(cap, "cap")
     if cap < 1:
         raise InputError("cap must be positive")
 
@@ -51,8 +53,7 @@ def econ_check(r0: int, e: int) -> bool:
     e = -10 (mod 8*r0)         when r0 = 2,
     e = -(r0 + 5)/2 (mod 2*r0) when r0 = 3."""
     check_r0(r0)
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise InputError("e must be an integer")
+    _check_int(e, "e")
     m = r0 % 4
     if m == 0:
         return e % (8 * r0) == (4 * r0 - 10) % (8 * r0)
@@ -142,8 +143,10 @@ def _decide(conditions, details) -> Admissibility:
 def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
     """Fiber degree large enough that level-a walls vanish and the nef
     isotropic ray is unique, for the surface-case constant a = a(v)."""
+    _check_int(e, "e")
     if e <= 0 or e % 2:
         raise InputError("e must be positive and even")
+    _check_int(d, "d")
     if d <= 0:
         raise InputError("d must be positive")
     bound = Fraction(e + 1) * num.a_v / 2
@@ -156,8 +159,10 @@ def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
 
 def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
     """Ambient-divisibility-aware version with the fixed constant 10."""
+    _check_int(e, "e")
     if e <= 0:
         raise InputError("e must be positive")
+    _check_int(d, "d")
     if d <= 0:
         raise InputError("d must be positive")
     check_i(i)
@@ -172,13 +177,16 @@ def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
 
 def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
     """Joint condition for a polarization of level a0 and a rank multiplier m."""
+    _check_int(e, "e")
     if e <= 0:
         raise InputError("e must be positive")
+    _check_int(d, "d")
     if d <= 0:
         raise InputError("d must be positive")
     check_i(i)
     if d % i:
         raise InputError(f"divisibility {i} must divide d = {d}")
+    _check_int(m, "multiplier")
     if m < 1:
         raise InputError("multiplier must be positive")
     a0 = to_rational(a0)
@@ -198,6 +206,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
 def buonacompt_bound(r0: int, e: int) -> Fraction:
     """Lower bound (5/16)*r0^6*(r0^2-1)*(e+1) that d must exceed."""
     check_r0(r0)
+    _check_int(e, "e")
     return Fraction(5, 16) * r0**6 * (r0**2 - 1) * (e + 1)
 
 
@@ -234,6 +243,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
 def rigsuk_bound(m0: int, r0: int) -> Fraction:
     """Lower bound (2*m0+1)*r0^2*(r0^2-1)/4 that d0 must exceed."""
     check_r0(r0)
+    _check_int(m0, "m0")
     if m0 < 0:
         raise InputError("m0 must be nonnegative")
     return Fraction((2 * m0 + 1) * r0**2 * (r0**2 - 1), 4)

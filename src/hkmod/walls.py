@@ -14,7 +14,7 @@ from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .errors import InputError
-from .jsonio import to_int, to_rational
+from .jsonio import _check_int, to_int, to_rational
 from .lattice import IntLattice, LatVec, lattice, lattice_from_json, pair, vec
 from .record import Record, setfield
 
@@ -23,10 +23,8 @@ class EllipticNS(Record):
     """Rank-2 lattice [[e, d], [d, 0]] with distinguished basis (h, f)."""
 
     def __init__(self, e: int, d: int):
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise InputError("e must be an integer")
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise InputError("d must be an integer")
+        _check_int(e, "e")
+        _check_int(d, "d")
         if d <= 0:
             raise InputError(f"fiber degree d must be positive, got {d}")
         setfield(self, "e", e)
@@ -108,16 +106,16 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
 
     Normalization x >= 1 picks one representative per +-pair; y then
     ranges over the exact interval forced by -a <= x*(e*x + 2*d*y) < 0.
+    Only the lower end reads the level; the upper end is an integer floor.
     """
     a = to_rational(a)
     if a <= 0:
         raise InputError(f"level must be positive, got {a}")
     e, d = ns.e, ns.d
     out: list[WallClass] = []
-    x = 1
-    while x <= a:  # |q| >= x for any admissible y, so x is bounded by a
+    for x in range(1, floor(a) + 1):  # |q| >= x for any admissible y, so x is bounded by a
         lo = ceil((-a / x - e * x) / (2 * d))
-        hi = floor(Fraction(-1 - e * x, 2 * d))
+        hi = (-1 - e * x) // (2 * d)
         for y in range(lo, hi + 1):
             if gcd(x, abs(y)) != 1:
                 continue
@@ -130,7 +128,6 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
                     pair_f=d * x,
                 )
             )
-        x += 1
     return out
 
 
@@ -215,6 +212,7 @@ def no_wall_threshold(e: int, a) -> int:
     a = to_rational(a)
     if a <= 0:
         raise InputError("level must be positive")
+    _check_int(e, "e")
     if e < 0:
         raise InputError("needs e >= 0")
     return floor(a * (1 + e) / 2) + 1

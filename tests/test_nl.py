@@ -9,7 +9,9 @@ from hkmod.errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
+from hkmod.fujiki import FujikiSetup, double_factorial
 from hkmod.hilb2 import econ_check
+from hkmod.lattice import lattice
 from hkmod.mukai import MukaiNumerics
 from hkmod.nl import (
     buonacompt_bound,
@@ -22,7 +24,7 @@ from hkmod.nl import (
     rigsuk_min_d0,
 )
 from hkmod.checks import _brute_min_d, _brute_min_d0
-from hkmod.walls import EllipticNS
+from hkmod.walls import EllipticNS, no_wall_threshold
 
 
 def test_nef_isotropic_frozen():
@@ -186,3 +188,37 @@ def test_propriostab_level_must_be_exact(bad):
     with pytest.raises(InputError):
         propriostab_admissible(6, 422, 2, bad, 2)
     assert propriostab_admissible(6, 422, 2, "120", 2).ok
+
+
+NUM = MukaiNumerics.from_square(2, 4)
+# (routine, arguments with one integer parameter a float or a bool, the parameter's name)
+NOT_INTEGERS = [
+    (FujikiSetup, (2.0, 1, lattice([[2]])), "n"),
+    (FujikiSetup, (True, 1, lattice([[2]])), "n"),
+    (double_factorial, (3.0,), "m"),
+    (nl_hk_admissible, (6, 74.5, 2), "d"),
+    (nl_hk_admissible, (6, 74, 2.0), "divisibility"),
+    (nl_hk_admissible, (True, 74, 1), "e"),
+    (nl_k3_admissible, (4, 31.0, NUM), "d"),
+    (nl_k3_admissible, (4.0, 31, NUM), "e"),
+    (no_wall_threshold, (2.5, 3), "e"),
+    (buonacompt_bound, (2, 2.5), "e"),
+    (buonacompt_min_d, (2, 6, 2, 2.5), "cap"),
+    (propriostab_admissible, (6, 74.0, 2, 12, 1), "d"),
+    (propriostab_admissible, (6, 74, 2, 12, 1.0), "multiplier"),
+    (rigsuk_bound, (1.5, 2), "m0"),
+    (rigsuk_min_d0, (False, 2), "m0"),
+]
+
+
+@pytest.mark.parametrize(
+    "routine, args, name", NOT_INTEGERS,
+    ids=[
+        f"{routine.__name__}-{name}-"
+        + next(type(x).__name__ for x in args if type(x) in (float, bool))
+        for routine, args, name in NOT_INTEGERS
+    ],
+)
+def test_integer_parameters_refuse_floats_and_bools(routine, args, name):
+    with pytest.raises(InputError, match=f"^{name} must be an integer$"):
+        routine(*args)

@@ -152,6 +152,23 @@ MUTATIONS = {
         lambda f: lambda ns, a: f(ns, a)[:-1],
         "walls", "enumeration_matches_box_scan",
     ),
+    "wall_of_positive_norm_added": (
+        walls, "enumerate_wall_classes",
+        lambda f: lambda ns, a: sorted(
+            f(ns, a) + [walls.WallClass(ns.h, ns.q(ns.h), ns.e, ns.d)], key=lambda w: w.lam.coords
+        ),
+        "walls", "enumeration_matches_box_scan",
+    ),
+    "wall_pair_h_off_by_one": (
+        walls, "enumerate_wall_classes",
+        lambda f: lambda ns, a: [changed(w, pair_h=w.pair_h + 1) for w in f(ns, a)],
+        "walls", "wall_fields_match_lattice",
+    ),
+    "min_negative_norm_off_by_one": (
+        walls, "min_negative_norm",
+        lambda f: lambda ns: f(ns) + 1,
+        "walls", "min_negative_norm_brute_force",
+    ),
     "top_intersection_off_by_one": (
         fujiki, "top_intersection",
         lambda f: lambda setup, classes: f(setup, classes) + 1,

@@ -222,10 +222,16 @@ def test_wall_ray():
         wall_ray(ns, vec((1, -1, 0)))
 
 
+# levels as ints or as p/q with q <= 7, below 1 included
+LEVELS = st.one_of(
+    st.integers(1, 200),
+    st.fractions(min_value=Fraction(1, 7), max_value=200, max_denominator=7),
+)
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 6), st.integers(1, 8), st.integers(1, 25))
-def test_enumeration_matches_brute_scan(half_e, d, a):
-    e = 2 * half_e
+@given(st.integers(-6, 12), st.integers(1, 8), LEVELS)
+def test_enumeration_matches_brute_scan(e, d, a):
     ns = EllipticNS(e, d)
     found = enumerate_wall_classes(ns, a)
     assert [w.lam.int_coords() for w in found] == checks._brute_walls(e, d, a)
