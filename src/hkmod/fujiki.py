@@ -55,9 +55,7 @@ class FujikiSetup(Record):
     """Evaluation context: half-dimension n, Fujiki constant, and the pairing lattice."""
 
     def __init__(self, n: int, c_x: Fraction, pairing: IntLattice):
-        _check_int(n, "n")
-        if n < 1:
-            raise InputError("n must be positive")
+        _check_int(n, "n", 1)
         c_x = to_rational(c_x)
         if c_x <= 0:
             raise InputError("the Fujiki constant must be positive")
@@ -87,7 +85,9 @@ def double_factorial(m: int) -> int:
 
 
 def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every perfect matching of range(count) once, smallest unmatched index first."""
+    """Every perfect matching of range(count) once, smallest unmatched index first; a bad
+    count is refused at the call, before the first matching is asked for."""
+    _check_int(count, "count", 0)
     if count % 2:
         raise InputError("perfect matchings need an even number of elements")
 
@@ -101,7 +101,7 @@ def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
             for tail in rec(rest):
                 yield ((first, remaining[j]),) + tail
 
-    yield from rec(tuple(range(count)))
+    return rec(tuple(range(count)))
 
 
 def matchings_sum(q_values: Callable[..., int | Fraction], classes: Sequence) -> int | Fraction:
@@ -144,8 +144,7 @@ def fiber_restriction_integral(setup: FujikiSetup, lam: LatVec, h: LatVec, f: La
 
 def propsemi_bound_check(setup: FujikiSetup, r: int, d_f, lambda_norm) -> bool:
     """True iff lambda's norm lies in [-r^2*d_F/(4*c_X), 0]."""
-    if r < 1:
-        raise InputError("rank must be positive")
+    _check_int(r, "rank", 1)
     lo = -r * r * to_rational(d_f) / (4 * setup.c_x)
     return lo <= to_rational(lambda_norm) <= 0
 
@@ -167,8 +166,8 @@ def discriminant_sum_identity(
     determine the middle one up to the norm of the slope-comparison class.
     Returns (lhs, rhs); equality holds exactly for consistent data.
     """
-    if r_e < 1 or r_g < 1:
-        raise InputError("ranks must be positive")
+    _check_int(r_e, "r_e", 1)
+    _check_int(r_g, "r_g", 1)
     r_f = r_e + r_g
     scale = double_factorial(2 * setup.n - 3) * to_rational(q_h) ** (setup.n - 1)
     lhs = r_f * r_g * to_rational(int_delta_e) + r_f * r_e * to_rational(int_delta_g)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
+from .jsonio import _check_int
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
 from .nl import (
     DEFAULT_SEARCH_CAP,
@@ -37,8 +38,7 @@ def divisibility_type(e: int, i: int) -> bool:
     e positive and even when i = 1, e positive and congruent to 6 mod 8
     when i = 2."""
     check_i(i)
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise InputError("e must be an integer")
+    _check_int(e, "e")
     if i == 1:
         return e > 0 and e % 2 == 0
     return e > 0 and e % 8 == 6
@@ -108,10 +108,8 @@ def h_polarization(r0: int, i: int, sign: str = "+") -> LatVec:
 def hilb2_ns(m0: int, d0: int) -> IntLattice:
     """Rank-3 sublattice spanned by (mu_D, mu_C, delta-half), with q(mu_D) = 2*m0,
     q(mu_D, mu_C) = d0, the fiber class mu_C = (0, 1, 0) isotropic and q(delta-half) = -2."""
-    if m0 < 0:
-        raise InputError("m0 must be nonnegative")
-    if d0 < 1:
-        raise InputError("d0 must be positive")
+    _check_int(m0, "m0", 0)
+    _check_int(d0, "d0", 1)
     return lattice(((2 * m0, d0, 0), (d0, 0, 0), (0, 0, -2)))
 
 
@@ -136,8 +134,7 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     degree type or congruence."""
     check_r0(r0)
     check_i(i)
-    if d0 < 1:
-        raise InputError("d0 must be positive")
+    _check_int(d0, "d0", 1)
     check_parity(r0, i)
     m0, _ = m0_s0(r0, e)
     ns = hilb2_ns(m0, d0)
@@ -168,8 +165,8 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
 def restrango_check(kind: str, r: int, m: int) -> bool:
     """Rank constraint for descent of a rank-r sheaf twist: r | m^2 on the
     Hilbert square, r | 3*m^2 on the generalized Kummer fourfold."""
-    if r < 1:
-        raise InputError("rank must be positive")
+    _check_int(r, "rank", 1)
+    _check_int(m, "m")
     if kind == "K3^[2]":
         return m * m % r == 0
     if kind == "Kum_2":
@@ -185,10 +182,8 @@ def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
     leaves r0 = r/gcd(r, a) as the only candidate; for it the first
     condition implies the other two.
     """
-    if n < 1:
-        raise InputError("n must be positive")
-    if d1 < 1 or d2 < 1 or r < 1 or a < 1:
-        raise InputError("d1, d2, r, a must be positive")
+    for value, what in ((n, "n"), (d1, "d1"), (d2, "d2"), (r, "r"), (a, "a")):
+        _check_int(value, what, 1)
     if d2 % d1:
         raise InputError(f"d1 = {d1} must divide d2 = {d2}")
     r0 = r // gcd(r, a)
@@ -197,8 +192,7 @@ def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
 
 def resemibis_ranks(kind: str, r_max: int) -> list[int]:
     """Ranks r <= r_max of the form r0^n/dd with dd | gcd(r0^n, c_X), for the n the kind fixes."""
-    if r_max < 1:
-        raise InputError("r_max must be positive")
+    _check_int(r_max, "r_max", 1)
     from .fujiki import fujiki_constant, parse_kind  # the one hilb2 routine that needs a Fujiki constant
 
     c = fujiki_constant(kind)
@@ -235,8 +229,7 @@ def mckay_ext_dims(ext_dims) -> McKaySquare:
     if len(dims) != 3:
         raise InputError("expected the 3 even-degree Ext dimensions")
     for x in dims:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise InputError("Ext dimensions must be nonnegative integers")
+        _check_int(x, "Ext dimension", 0)
     a0, a2, a4 = dims
     out = (comb(a0 + 1, 2), a0 * a2, a0 * a4 + comb(a2 + 1, 2), a2 * a4, comb(a4 + 1, 2))
     return McKaySquare(dims=out, end0_vanishing=out == (1, 0, 1, 0, 1))

@@ -67,10 +67,21 @@ def to_int(value, what: str = "value") -> int:
     return q
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse a library integer parameter that is not an int; a float or a bool is not one."""
+def _check_int(value, what: str, least: int | None = None) -> None:
+    """Refuse a library integer parameter that is not an int (a float or a bool is not one)
+    or, when least (0 or 1) is given, that lies below it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be {'positive' if least else 'nonnegative'}")
+
+
+def _level(a) -> Fraction:
+    """A wall level: an exact rational, refused unless positive."""
+    a = to_rational(a)
+    if a <= 0:
+        raise InputError(f"level must be positive, got {a}")
+    return a
 
 
 def _exact(value):
@@ -98,5 +109,5 @@ def load_json_file(path: str):
             return json.load(fh, parse_int=lambda text: _parse(text, rational=False))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from exc

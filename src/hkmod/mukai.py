@@ -83,8 +83,8 @@ class MukaiNumerics(Record):
 
     @classmethod
     def from_square(cls, r: int, v_square: int) -> "MukaiNumerics":
-        if r < 1:
-            raise InputError("rank must be positive")
+        _check_int(r, "rank", 1)
+        _check_int(v_square, "v_square")
         if v_square % 2:
             raise MathCheckError(f"square {v_square} must be even")
         delta = v_square + 2 * r * r

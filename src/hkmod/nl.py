@@ -17,7 +17,7 @@ from .errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
-from .jsonio import _check_int, to_rational
+from .jsonio import _check_int, _level
 from .lattice import LatVec, primitive_part, vec
 from .record import Record, setfield
 
@@ -36,9 +36,7 @@ def check_i(i: int) -> None:
 
 
 def check_cap(cap: int) -> None:
-    _check_int(cap, "cap")
-    if cap < 1:
-        raise InputError("cap must be positive")
+    _check_int(cap, "cap", 1)
 
 
 def check_parity(r0: int, i: int) -> None:
@@ -146,9 +144,7 @@ def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
     _check_int(e, "e")
     if e <= 0 or e % 2:
         raise InputError("e must be positive and even")
-    _check_int(d, "d")
-    if d <= 0:
-        raise InputError("d must be positive")
+    _check_int(d, "d", 1)
     bound = Fraction(e + 1) * num.a_v / 2
     conditions = [
         ("d exceeds (e+1)*a/2", d > bound),
@@ -159,12 +155,8 @@ def nl_k3_admissible(e: int, d: int, num: MukaiNumerics) -> Admissibility:
 
 def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
     """Ambient-divisibility-aware version with the fixed constant 10."""
-    _check_int(e, "e")
-    if e <= 0:
-        raise InputError("e must be positive")
-    _check_int(d, "d")
-    if d <= 0:
-        raise InputError("d must be positive")
+    _check_int(e, "e", 1)
+    _check_int(d, "d", 1)
     check_i(i)
     conditions = [
         ("d exceeds 10*(e+1)", d > 10 * (e + 1)),
@@ -177,21 +169,13 @@ def nl_hk_admissible(e: int, d: int, i: int) -> Admissibility:
 
 def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
     """Joint condition for a polarization of level a0 and a rank multiplier m."""
-    _check_int(e, "e")
-    if e <= 0:
-        raise InputError("e must be positive")
-    _check_int(d, "d")
-    if d <= 0:
-        raise InputError("d must be positive")
+    _check_int(e, "e", 1)
+    _check_int(d, "d", 1)
     check_i(i)
     if d % i:
         raise InputError(f"divisibility {i} must divide d = {d}")
-    _check_int(m, "multiplier")
-    if m < 1:
-        raise InputError("multiplier must be positive")
-    a0 = to_rational(a0)
-    if a0 <= 0:
-        raise InputError("level must be positive")
+    _check_int(m, "multiplier", 1)
+    a0 = _level(a0)
     bound = max(a0 * (e + 1) / 2, Fraction(10 * (e + 1)))
     conditions = [
         ("d exceeds max(a0*(e+1)/2, 10*(e+1))", d > bound),
@@ -220,8 +204,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     SearchCapExceeded means the answer needs more of them than the cap.
     """
     check_i(i)
-    if e <= 0:
-        raise InputError("e must be positive")
+    _check_int(e, "e", 1)
     check_cap(cap)
     check_parity(r0, i)
     check_econ(r0, e)
@@ -243,9 +226,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
 def rigsuk_bound(m0: int, r0: int) -> Fraction:
     """Lower bound (2*m0+1)*r0^2*(r0^2-1)/4 that d0 must exceed."""
     check_r0(r0)
-    _check_int(m0, "m0")
-    if m0 < 0:
-        raise InputError("m0 must be nonnegative")
+    _check_int(m0, "m0", 0)
     return Fraction((2 * m0 + 1) * r0**2 * (r0**2 - 1), 4)
 
 

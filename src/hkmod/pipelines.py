@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MathCheckError
-from .jsonio import load_json_file
+from .jsonio import _check_int, load_json_file
 from .lattice import (
     IntLattice,
     LatVec,
@@ -126,6 +126,7 @@ class TwistResult(Record):
 def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> TwistResult:
     """Twist v by the n-th power of the line bundle with class h and split
     the resulting middle component as x times a primitive class."""
+    _check_int(n, "n")
     if v.r < 1:
         raise InputError("twisting needs a positive rank")
     if not h.integral:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InputError, MathCheckError
+from .jsonio import _check_int
 from .lattice import IntLattice, LatVec, norm, pair
 from .mukai import MukaiVector, mukai_square
 from .record import Record, setfield
@@ -26,14 +27,16 @@ class AtiyahResult(Record):
 
 
 def atiyah_exists(r: int, deg: int) -> AtiyahResult:
-    if r < 1:
-        raise InputError("rank must be positive")
+    _check_int(r, "rank", 1)
+    _check_int(deg, "deg")
     ok = gcd(r, deg) == 1
     return AtiyahResult(exists=ok, unique=ok)
 
 
 def bezout_r0_d0(r: int, k: int) -> tuple[int, int]:
     """The unique pair with k*r0 - r*d0 = 1 and 0 < r0 < r."""
+    _check_int(r, "rank")
+    _check_int(k, "k")
     if r < 2:
         raise InputError(f"rank must be at least 2, got {r}")
     if gcd(r, k) != 1:
@@ -46,8 +49,8 @@ class ModificationStep(Record):
     """One elementary modification: a subsheaf of fiber rank r_b and degree deg_b."""
 
     def __init__(self, r_b: int, deg_b: int):
-        if r_b < 1:
-            raise InputError("fiber rank of a step must be positive")
+        _check_int(r_b, "fiber rank of a step", 1)
+        _check_int(deg_b, "deg_b")
         setfield(self, "r_b", r_b)
         setfield(self, "deg_b", deg_b)
 
@@ -149,6 +152,8 @@ class HomCountResult(Record):
 
 def hom_count_check(k: int, r: int, r0: int, d0: int) -> HomCountResult:
     """Value k*r0 - r*d0, flagged when (r0, d0) is the canonical Bezout pair."""
+    for value, what in ((k, "k"), (r, "rank"), (r0, "r0"), (d0, "d0")):
+        _check_int(value, what)
     if r < 2:
         raise InputError("rank must be at least 2")
     canonical = gcd(r, k) == 1 and (r0, d0) == bezout_r0_d0(r, k)
@@ -161,8 +166,7 @@ def nonlocally_free_dim_identity(
     """Both sides of the dimension count for sheaves failing local freeness
     along a length-dlen locus; they agree identically, and the common value
     stays below 2*n(v) exactly when the rank is at least 2."""
-    if dlen < 1:
-        raise InputError("locus length must be positive")
+    _check_int(dlen, "locus length", 1)
     if v.r < 1:
         raise InputError("rank must be positive")
     shifted = MukaiVector(v.r, v.l, v.s + dlen)

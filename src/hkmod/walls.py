@@ -14,7 +14,7 @@ from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .errors import InputError
-from .jsonio import _check_int, to_int, to_rational
+from .jsonio import _check_int, _level, to_int
 from .lattice import IntLattice, LatVec, lattice, lattice_from_json, pair, vec
 from .record import Record, setfield
 
@@ -108,9 +108,7 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     ranges over the exact interval forced by -a <= x*(e*x + 2*d*y) < 0.
     Only the lower end reads the level; the upper end is an integer floor.
     """
-    a = to_rational(a)
-    if a <= 0:
-        raise InputError(f"level must be positive, got {a}")
+    a = _level(a)
     e, d = ns.e, ns.d
     out: list[WallClass] = []
     for x in range(1, floor(a) + 1):  # |q| >= x for any admissible y, so x is bounded by a
@@ -142,9 +140,7 @@ def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
     """
     if ns.q(h) <= 0:
         raise InputError("polarization must have positive self-pairing")
-    a = to_rational(a)
-    if a <= 0:
-        raise InputError(f"level must be positive, got {a}")
+    a = _level(a)
     e, d = ns.e, ns.d
     h1, h2 = h.coords  # ints and Fractions both carry numerator and denominator
     scale = lcm(h1.denominator, h2.denominator)
@@ -209,9 +205,7 @@ def no_wall_threshold(e: int, a) -> int:
     2d <= e*x + a/x <= (e+1)*a. The verify-all check
     walls.threshold_guarantees_empty confirms the emptiness by enumeration.
     """
-    a = to_rational(a)
-    if a <= 0:
-        raise InputError("level must be positive")
+    a = _level(a)
     _check_int(e, "e")
     if e < 0:
         raise InputError("needs e >= 0")

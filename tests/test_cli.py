@@ -774,3 +774,20 @@ def test_a_short_exponent_form_exits_2_at_once(level):
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: cannot parse rational from {level!r}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["fujiki", "mukai"])
+def test_json_nested_too_deep_exits_2(files, tmp_path, command):
+    """A JSON file nested past the parser's recursion limit is invalid input, not a traceback.
+
+    A child process, so that the exit code and stderr are the ones a caller sees."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    if command == "fujiki":
+        argv = ["fujiki", "--setup", files["fujiki_setup"], "--classes", str(path)]
+    else:
+        argv = ["mukai", "--ns", str(path), "--v", files["v"]]
+    proc = run_child("-m", "hkmod", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: invalid JSON in {path}: ")
+    assert "Traceback" not in proc.stderr

@@ -71,6 +71,8 @@ def test_perfect_matchings_canonical():
     assert len(list(perfect_matchings(8))) == 105
     with pytest.raises(InputError):
         list(perfect_matchings(3))
+    with pytest.raises(InputError, match="^count must be nonnegative$"):
+        perfect_matchings(-2)  # refused at the call; it used to yield one empty matching
 
 
 def test_top_intersection_k3_2():

@@ -9,10 +9,24 @@ from hkmod.errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
-from hkmod.fujiki import FujikiSetup, double_factorial
-from hkmod.hilb2 import econ_check
-from hkmod.lattice import lattice
-from hkmod.mukai import MukaiNumerics
+from hkmod.fujiki import (
+    FujikiSetup,
+    discriminant_sum_identity,
+    double_factorial,
+    perfect_matchings,
+    propsemi_bound_check,
+)
+from hkmod.hilb2 import (
+    econ_check,
+    hilb2_ns,
+    mckay_ext_dims,
+    potenza_solve,
+    resemibis_ranks,
+    restrango_check,
+    rosetta_check,
+)
+from hkmod.lattice import lattice, vec
+from hkmod.mukai import MukaiNumerics, MukaiVector
 from hkmod.nl import (
     buonacompt_bound,
     buonacompt_min_d,
@@ -24,6 +38,14 @@ from hkmod.nl import (
     rigsuk_min_d0,
 )
 from hkmod.checks import _brute_min_d, _brute_min_d0
+from hkmod.pipelines import multacca_normalize
+from hkmod.reduction import (
+    ModificationStep,
+    atiyah_exists,
+    bezout_r0_d0,
+    hom_count_check,
+    nonlocally_free_dim_identity,
+)
 from hkmod.walls import EllipticNS, no_wall_threshold
 
 
@@ -191,6 +213,9 @@ def test_propriostab_level_must_be_exact(bad):
 
 
 NUM = MukaiNumerics.from_square(2, 4)
+SETUP = FujikiSetup(2, 1, lattice([[2]]))
+E4D1 = lattice(((4, 1), (1, 0)))
+V = MukaiVector(2, vec((1, 0)), 0)
 # (routine, arguments with one integer parameter a float or a bool, the parameter's name)
 NOT_INTEGERS = [
     (FujikiSetup, (2.0, 1, lattice([[2]])), "n"),
@@ -208,14 +233,49 @@ NOT_INTEGERS = [
     (propriostab_admissible, (6, 74, 2, 12, 1.0), "multiplier"),
     (rigsuk_bound, (1.5, 2), "m0"),
     (rigsuk_min_d0, (False, 2), "m0"),
+    (hilb2_ns, (1.0, 2), "m0"),
+    (hilb2_ns, (1, 2.0), "d0"),
+    (rosetta_check, (3, 1, 2, 5.0), "d0"),
+    (resemibis_ranks, ("K3^[2]", 2.5), "r_max"),
+    (restrango_check, ("K3^[2]", 4.0, 2), "rank"),
+    (restrango_check, ("K3^[2]", 4, 2.0), "m"),
+    (potenza_solve, (2.0, 1, 1, 2, 1), "n"),
+    (potenza_solve, (2, 1.0, 1, 2, 1), "d1"),
+    (potenza_solve, (2, 1, 1.0, 2, 1), "d2"),
+    (potenza_solve, (2, 1, 1, 2.0, 1), "r"),
+    (potenza_solve, (2, 1, 1, 2, True), "a"),
+    (mckay_ext_dims, ([1, 0.0, 1],), "Ext dimension"),
+    (perfect_matchings, (4.0,), "count"),
+    (propsemi_bound_check, (SETUP, 2.0, 8, 0), "rank"),
+    (discriminant_sum_identity, (SETUP, 2, 1.0, 0, 1, 0, 8, 0), "r_e"),
+    (discriminant_sum_identity, (SETUP, 2, 1, 0, True, 0, 8, 0), "r_g"),
+    (MukaiNumerics.from_square, (2.0, 4), "rank"),
+    (MukaiNumerics.from_square, (2, 4.0), "v_square"),
+    (ModificationStep, (1.0, 0), "fiber rank of a step"),
+    (ModificationStep, (1, 0.0), "deg_b"),
+    (nonlocally_free_dim_identity, (E4D1, V, 1.0), "locus length"),
+    (atiyah_exists, (2.0, 1), "rank"),
+    (atiyah_exists, (2, 1.0), "deg"),
+    (bezout_r0_d0, (3.0, 2), "rank"),
+    (bezout_r0_d0, (3, 2.0), "k"),
+    (hom_count_check, (2.0, 3, 2, 1), "k"),
+    (hom_count_check, (2, 3.0, 2, 1), "rank"),
+    (hom_count_check, (2, 3, 2.0, 1), "r0"),
+    (hom_count_check, (2, 3, 2, 1.0), "d0"),
+    (multacca_normalize, (E4D1, V, vec((1, 0)), 1.0), "n"),
 ]
+
+
+def not_an_int(args):
+    """The type name of the one float or bool among args, or in a list among them."""
+    flat = [y for x in args for y in (x if type(x) is list else [x])]
+    return next(type(x).__name__ for x in flat if type(x) in (float, bool))
 
 
 @pytest.mark.parametrize(
     "routine, args, name", NOT_INTEGERS,
     ids=[
-        f"{routine.__name__}-{name}-"
-        + next(type(x).__name__ for x in args if type(x) in (float, bool))
+        f"{routine.__name__}-{name}-{not_an_int(args)}"
         for routine, args, name in NOT_INTEGERS
     ],
 )

@@ -279,6 +279,46 @@ MUTATIONS = {
         lambda f: lambda ns, v, h, n: changed(f(ns, v, h, n), gcd_r_x=f(ns, v, h, n).gcd_r_x + 1),
         "pipelines", "twist_normalization_squares",
     ),
+    "potenza_answers_shifted": (
+        hilb2, "potenza_solve",
+        lambda f: lambda n, d1, d2, r, a: [r0 + 1 for r0 in f(n, d1, d2, r, a)],
+        "hilb2", "rank_equation_brute_force",
+    ),
+    "resemibis_drops_last": (
+        hilb2, "resemibis_ranks",
+        lambda f: lambda kind, r_max: f(kind, r_max)[:-1],
+        "hilb2", "power_rank_lists",
+    ),
+    "restrango_negated": (
+        hilb2, "restrango_check",
+        lambda f: lambda kind, r, m: not f(kind, r, m),
+        "hilb2", "descent_rank_constraint",
+    ),
+    "mckay_dim0_off_by_one": (
+        hilb2, "mckay_ext_dims",
+        lambda f: lambda a: changed(f(a), dims=(f(a).dims[0] + 1,) + f(a).dims[1:]),
+        "hilb2", "induced_ext_generating_function",
+    ),
+    "end0_vanishing_negated": (
+        hilb2, "mckay_ext_dims",
+        lambda f: lambda a: changed(f(a), end0_vanishing=not f(a).end0_vanishing),
+        "hilb2", "induced_ext_vanishing_pattern",
+    ),
+    "propsemi_bound_negated": (
+        fujiki, "propsemi_bound_check",
+        lambda f: lambda setup, r, d_f, lam: not f(setup, r, d_f, lam),
+        "fujiki", "semistable_bound_interval",
+    ),
+    "discriminant_rhs_off_by_one": (
+        fujiki, "discriminant_sum_identity",
+        lambda f: lambda *args: (f(*args)[0], f(*args)[1] + 1),
+        "fujiki", "discriminant_decomposition_balance",
+    ),
+    "atiyah_negated": (
+        reduction, "atiyah_exists",
+        lambda f: lambda r, deg: changed(f(r, deg), exists=not f(r, deg).exists),
+        "reduction", "coprime_fiber_bundle_cases",
+    ),
 }
 
 
