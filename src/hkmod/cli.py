@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
-from .jsonio import _parse, canonical_json, encode, load_json_file, to_int, to_rational
+from .jsonio import _parse, _shown, canonical_json, encode, load_json_file, to_int, to_rational
 from .lattice import IntLattice, lattice_from_json, latvec_from_json, pair
 from .verify import verify_all  # the runner only: the checks load when verify-all runs
 
@@ -100,7 +100,7 @@ def cmd_fujiki(args) -> int:
     if "kind" in setup_data:
         setup = FujikiSetup.for_kind(setup_data["kind"], pairing)
         if n not in (None, setup.n):
-            raise InputError(f"kind {setup_data['kind']!r} fixes n = {setup.n}, got n = {n}")
+            raise InputError(f"kind {_shown(setup_data['kind'])} fixes n = {setup.n}, got n = {n}")
     else:
         if n is None or "c_x" not in setup_data:
             raise InputError("setup needs 'kind' or both 'n' and 'c_x'")
@@ -304,7 +304,7 @@ def cmd_scenario(args) -> int:
     sc = load_scenario(args.scenario)
     if sc.pipeline != args.command:
         raise InputError(
-            f"scenario pipeline is {sc.pipeline!r}, expected {args.command!r}"
+            f"scenario pipeline is {_shown(sc.pipeline)}, expected {args.command!r}"
         )
     report = run_scenario(sc)
     _emit(args, report.to_json_dict())

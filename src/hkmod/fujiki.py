@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InputError
-from .jsonio import _check_int, _parse, to_rational
+from .jsonio import _check_int, _parse, _shown, to_rational
 from .lattice import IntLattice, LatVec, pair
 from .record import Record, setfield
 
@@ -35,13 +35,13 @@ _FIXED_N = {"K3": 1, "OG6": 3}
 def parse_kind(kind: str) -> tuple[str, int]:
     """Resolve a family name like 'K3^[3]', 'Kum_2' or 'OG6' to (table key, n)."""
     if not isinstance(kind, str):
-        raise InputError(f"deformation type must be a string, got {kind!r}")
+        raise InputError(f"deformation type must be a string, got {_shown(kind)}")
     m = _KIND_RE.fullmatch(kind)
     if m:
         return ("K3^[n]" if m[1] else "Kum_n"), _parse(m[1] or m[2], rational=False)
     if kind in _FIXED_N:
         return kind, _FIXED_N[kind]
-    raise InputError(f"unknown deformation type {kind!r}")
+    raise InputError(f"unknown deformation type {_shown(kind)}")
 
 
 def fujiki_constant(kind: str) -> int:

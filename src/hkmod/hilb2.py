@@ -20,7 +20,6 @@ from .nl import (
     DEFAULT_SEARCH_CAP,
     buonacompt_bound,
     buonacompt_min_d,
-    check_cap,
     check_econ,
     check_i,
     check_parity,
@@ -235,9 +234,31 @@ def mckay_ext_dims(ext_dims) -> McKaySquare:
     return McKaySquare(dims=out, end0_vanishing=out == (1, 0, 1, 0, 1))
 
 
-def unicita_report(
-    i: int, r0: int, e: int, cap: int = DEFAULT_SEARCH_CAP
-) -> TheoremReport:
+def _unicita_chain(i: int, r0: int, e: int, cap: int):
+    """The checks of unicita_report in dependency order. A generator runs only as far as it is
+    read, so each step runs once every check before it has passed; read no further than the
+    first failed check, since a later step assumes the earlier ones hold."""
+    yield Check("parity", r0 % 2 == i % 2, {"r0": r0, "i": i})
+    rule = "e > 0 even" if i == 1 else "e > 0 and e = 6 mod 8"
+    yield Check("divisibility_type", divisibility_type(e, i), {"e": e, "rule": rule})
+    yield Check("econ", econ_check(r0, e), {"r0": r0, "e": e, "r0_mod_4": r0 % 4})
+    m0, s0 = m0_s0(r0, e)
+    yield Check("m0_s0", True, {"m0": m0, "s0": s0})
+    inv = {**f2_invariants(r0).to_json_dict(), "c1_coeff": r0 // i, "hypothesis": "chi(End F) = 2"}
+    yield Check("f2_invariants", True, inv)
+    yield Check("rigsuk_min_d0", True, {"d0": rigsuk_min_d0(m0, r0), "bound": rigsuk_bound(m0, r0)})
+    try:
+        min_d = buonacompt_min_d(r0, e, i, cap=cap)
+    except NoAdmissibleParameter as exc:
+        yield Check("buonacompt_min_d", False, {"error": str(exc)})
+    else:
+        yield Check("buonacompt_min_d", True, {"min_d": min_d, "bound": buonacompt_bound(r0, e)})
+    sub = rosetta_check(r0, i, e, min_d // i)
+    verdicts = {c.name: c.passed for c in sub.checks}
+    yield Check("rosetta", sub.verdict, {"d0": min_d // i, "d": min_d, "checks": verdicts})
+
+
+def unicita_report(i: int, r0: int, e: int, cap: int = DEFAULT_SEARCH_CAP) -> TheoremReport:
     """Full admissibility pipeline for the exterior-square construction.
 
     Runs the checks in dependency order and stops at the first failure:
@@ -247,82 +268,11 @@ def unicita_report(
     """
     check_i(i)
     check_r0(r0)
-    check_cap(cap)
+    _check_int(e, "e")
+    _check_int(cap, "cap", 1)
     checks: list[Check] = []
-
-    def report() -> TheoremReport:
-        return TheoremReport(
-            theorem="unicita", checks=tuple(checks), data={"i": i, "r0": r0, "e": e}
-        )
-
-    parity_ok = r0 % 2 == i % 2
-    checks.append(Check("parity", parity_ok, {"r0": r0, "i": i}))
-    if not parity_ok:
-        return report()
-
-    type_ok = divisibility_type(e, i)
-    checks.append(
-        Check(
-            "divisibility_type",
-            type_ok,
-            {"e": e, "rule": "e > 0 even" if i == 1 else "e > 0 and e = 6 mod 8"},
-        )
-    )
-    if not type_ok:
-        return report()
-
-    econ_ok = econ_check(r0, e)
-    checks.append(Check("econ", econ_ok, {"r0": r0, "e": e, "r0_mod_4": r0 % 4}))
-    if not econ_ok:
-        return report()
-
-    m0, s0 = m0_s0(r0, e)
-    checks.append(Check("m0_s0", True, {"m0": m0, "s0": s0}))
-
-    inv = f2_invariants(r0)
-    checks.append(
-        Check(
-            "f2_invariants",
-            True,
-            {
-                "rank": inv.rank,
-                "delta_coeff": inv.delta_coeff,
-                "d_mod": inv.d_mod,
-                "a_mod": inv.a_mod,
-                "c1_coeff": r0 // i,
-                "hypothesis": "chi(End F) = 2",
-            },
-        )
-    )
-
-    d0_min = rigsuk_min_d0(m0, r0)
-    checks.append(
-        Check("rigsuk_min_d0", True, {"d0": d0_min, "bound": rigsuk_bound(m0, r0)})
-    )
-
-    try:
-        min_d = buonacompt_min_d(r0, e, i, cap=cap)
-    except NoAdmissibleParameter as exc:
-        checks.append(Check("buonacompt_min_d", False, {"error": str(exc)}))
-        return report()
-    checks.append(
-        Check(
-            "buonacompt_min_d",
-            True,
-            {"min_d": min_d, "bound": buonacompt_bound(r0, e)},
-        )
-    )
-
-    sub = rosetta_check(r0, i, e, min_d // i)
-    checks.append(
-        Check(
-            "rosetta",
-            sub.verdict,
-            {
-                "d0": min_d // i,
-                "d": min_d,
-                "checks": {c.name: c.passed for c in sub.checks},
-            },
-        )
-    )
-    return report()
+    for check in _unicita_chain(i, r0, e, cap):
+        checks.append(check)
+        if not check.passed:
+            break
+    return TheoremReport(theorem="unicita", checks=tuple(checks), data={"i": i, "r0": r0, "e": e})

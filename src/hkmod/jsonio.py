@@ -23,14 +23,23 @@ MAX_DIGITS = sys.int_info.default_max_str_digits
 # digits, then in a rational only "/" and a positive ASCII integer ([0-9]: \d takes any digit)
 _NUMBER = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
+# The most characters of an input value that a refusal echoes
+_SHOWN_WIDTH = 200
+
+
+def _shown(value) -> str:
+    """repr(value) for a refusal, cut to _SHOWN_WIDTH characters with "..." appended."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_WIDTH else text[:_SHOWN_WIDTH] + "..."
+
 
 def _parse(text: str, rational: bool) -> int | Fraction:
     """The number text writes in _NUMBER, p/q only if rational, in at most MAX_DIGITS digits
     (p and q together, counted before int() reads any: cli.main lifts its bound)."""
     match = _NUMBER.fullmatch(text.strip())
     if match is None or (match[2] is not None and not rational):
-        raise InputError(f"cannot parse rational from {text!r}" if rational
-                         else f"invalid int value: {text!r}")  # argparse's type=int wording
+        raise InputError(f"cannot parse rational from {_shown(text)}" if rational
+                         else f"invalid int value: {_shown(text)}")  # argparse's type=int wording
     p, q = match.groups()
     count = len(p.lstrip("+-")) + len(q or "")
     if count > MAX_DIGITS:
@@ -48,7 +57,8 @@ def to_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(_parse(value, rational=True))
-    raise InputError(f"cannot parse rational from {value!r} of type {type(value).__name__}")
+    kind = type(value).__name__
+    raise InputError(f"cannot parse rational from {_shown(value)} of type {kind}")
 
 
 def to_exact(value) -> int | Fraction:

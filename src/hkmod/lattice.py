@@ -14,7 +14,7 @@ from math import gcd
 from operator import mul
 
 from .errors import InputError
-from .jsonio import to_exact, to_int
+from .jsonio import _shown, to_exact, to_int
 from .record import Record, setfield
 
 
@@ -67,7 +67,7 @@ def vec(coords: Iterable) -> LatVec:
 
 def latvec_from_json(data, rank: int | None = None) -> LatVec:
     if not isinstance(data, (list, tuple)):
-        raise InputError(f"vector JSON must be an array, got {data!r}")
+        raise InputError(f"vector JSON must be an array, got {_shown(data)}")
     v = vec(data)
     if rank is not None and len(v) != rank:
         raise InputError(f"vector has length {len(v)}, expected {rank}")

@@ -35,10 +35,6 @@ def check_i(i: int) -> None:
         raise InputError(f"divisibility must be 1 or 2, got {i}")
 
 
-def check_cap(cap: int) -> None:
-    _check_int(cap, "cap", 1)
-
-
 def check_parity(r0: int, i: int) -> None:
     if r0 % 2 != i % 2:
         raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
@@ -205,7 +201,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     """
     check_i(i)
     _check_int(e, "e", 1)
-    check_cap(cap)
+    _check_int(cap, "cap", 1)
     check_parity(r0, i)
     check_econ(r0, e)
     if (2 * i) % e == 0:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MathCheckError
-from .jsonio import _check_int, load_json_file
+from .jsonio import _check_int, _shown, load_json_file
 from .lattice import (
     IntLattice,
     LatVec,
@@ -27,6 +27,7 @@ from .record import Record, setfield
 from .report import Check, TheoremReport
 from .walls import (
     SuitabilityReport,
+    _polarization,
     as_elliptic,
     ns_from_json,
     orthogonal_wall,
@@ -44,6 +45,7 @@ def vbk3ell_pipeline(ns, v: MukaiVector, h: LatVec | None = None) -> TheoremRepo
     h_use = h if h is not None else ns.h
     num = numerics(lat, v)
     k = pair(lat, v.l, ns.f)
+    _polarization(ns, h_use)  # at every level, the nonpositive ones included
     checks = (
         Check(
             "square_at_least_rigid_bound",
@@ -75,8 +77,7 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
     polarization generic for the wall-control constant."""
     ns = as_elliptic(ns)
     lat = ns.lattice
-    if ns.q(h) <= 0:
-        raise InputError("polarization must have positive self-pairing")
+    _polarization(ns, h)
     num = numerics(lat, v)
     c = content(v.l)
     wall = orthogonal_wall(ns, num.a_v, h) if num.a_v > 0 else None
@@ -199,4 +200,4 @@ def run_scenario(sc: Scenario) -> TheoremReport:
         if sc.h is None:
             raise InputError("casoprim needs a polarization vector named 'h'")
         return casoprim_pipeline(sc.ns, sc.v, sc.h)
-    raise InputError(f"unknown pipeline {sc.pipeline!r}")
+    raise InputError(f"unknown pipeline {_shown(sc.pipeline)}")

@@ -132,14 +132,13 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
 def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
     """The wall class of level a orthogonal to h, or None if there is none.
 
-    h^perp has rank 1, spanned by (d*h1, -(e*h1 + d*h2)); q(h) > 0 forces
-    h1 != 0, so its primitive generator with x >= 1 is unique and, h being
-    positive, of negative norm. It is a wall exactly when that norm is at
+    h^perp has rank 1, spanned by (d*h1, -(e*h1 + d*h2)); h in the positive
+    cone has h1 > 0, so its primitive generator with x >= 1 is unique and, h
+    being positive, of negative norm. It is a wall exactly when that norm is at
     least -a. Coordinates of h are scaled to integers by the lcm of their
     denominators first. O(1) in a.
     """
-    if ns.q(h) <= 0:
-        raise InputError("polarization must have positive self-pairing")
+    _polarization(ns, h)
     a = _level(a)
     e, d = ns.e, ns.d
     h1, h2 = h.coords  # ints and Fractions both carry numerator and denominator
@@ -210,6 +209,14 @@ def no_wall_threshold(e: int, a) -> int:
     if e < 0:
         raise InputError("needs e >= 0")
     return floor(a * (1 + e) / 2) + 1
+
+
+def _polarization(ns: EllipticNS, h: LatVec) -> None:
+    """Refuse an h outside the positive cone: q(h) > 0 and h.f = d*h1 > 0."""
+    if ns.q(h) <= 0:
+        raise InputError("polarization must have positive self-pairing")
+    if h.coords[0] <= 0:
+        raise InputError("polarization must lie in the positive cone: h.f = d*h1 must be positive")
 
 
 def _perpendicular(e: int, d: int, x: int, y: int) -> tuple[int, int]:

@@ -324,6 +324,35 @@ def test_scenario_commands(capsys, files, tmp_path):
     assert data["suitability"] == {"suitable": True, "generic": True, "witnesses": []}
 
 
+def cone_scenario(pipeline, v, h):
+    return {"pipeline": pipeline, "lattices": {"ns": {"e": 4, "d": 1}},
+            "vectors": {"v": v, "h": h}}
+
+
+SELF_PAIRING = "error: polarization must have positive self-pairing\n"
+POSITIVE_CONE = "error: polarization must lie in the positive cone: h.f = d*h1 must be positive\n"
+# (argv, the file @in holds, stderr): an h outside the positive cone is refused at every level
+OUTSIDE_THE_CONE = [
+    (["walls", "--e", "4", "--d", "1", "--a", "5", "--suitability", "--h", "@in"], [-1, 0],
+     POSITIVE_CONE),
+    (["casoprim", "--scenario", "@in"],
+     cone_scenario("casoprim", {"r": 2, "l": [1, 0], "s": 0}, [-1, 0]), POSITIVE_CONE),
+    # a(v) = 0, so there is no wall to read h against, and h is still refused
+    (["vbk3ell", "--scenario", "@in"],
+     cone_scenario("vbk3ell", {"r": 1, "l": [0, 0], "s": 1}, [0, 1]), SELF_PAIRING),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, data, err", OUTSIDE_THE_CONE, ids=[argv[0] for argv, _, _ in OUTSIDE_THE_CONE]
+)
+def test_a_polarization_outside_the_positive_cone_is_refused(capsys, tmp_path, argv, data, err):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [str(path) if a == "@in" else a for a in argv]
+    assert run(capsys, argv) == (2, "", err)
+
+
 def test_sweep_econ(capsys):
     code, out, _ = run(
         capsys, ["sweep-econ", "--r0max", "2", "--emax", "40", "--json",
@@ -790,4 +819,17 @@ def test_json_nested_too_deep_exits_2(files, tmp_path, command):
     proc = run_child("-m", "hkmod", *argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: invalid JSON in {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_long_value_is_echoed_cut(files, tmp_path):
+    """A refusal echoes a bounded prefix of the offending value, not all of it.
+
+    A child process, so that the exit code and stderr are the ones a caller sees."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"r": 1, "l": [list(range(100_000)), 0], "s": 0}))
+    proc = run_child("-m", "hkmod", "mukai", "--ns", files["ns"], "--v", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot parse rational from [0, 1, 2, ")
+    assert len(proc.stderr.encode()) < 1024
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from hkmod.hilb2 import (
     rosetta_check,
     unicita_report,
 )
+from hkmod.jsonio import canonical_json
 from hkmod.lattice import pair, vec
 
 
@@ -300,6 +303,20 @@ def test_unicita_frozen():
         unicita_report(3, 2, 6)
     with pytest.raises(InputError):
         unicita_report(2, 0, 6)
+
+
+def test_unicita_grid_is_frozen():
+    """Every end of the chain, byte for byte: the parity, degree-type and congruence failures,
+    an empty search and the full chain through rosetta."""
+    reports = [
+        unicita_report(i, r0, e)
+        for i in (1, 2) for r0 in range(1, 9) for e in (2, 4, 6, 8, 14, 21, 22, 38)
+    ]
+    golden = Path(__file__).parent / "golden" / "unicita_grid.jsonl"
+    assert "".join(map(canonical_json, reports)).encode() == golden.read_bytes()
+    ends = Counter(rep.checks[-1].name for rep in reports)
+    assert ends == {"parity": 64, "divisibility_type": 20, "econ": 24,
+                    "buonacompt_min_d": 2, "rosetta": 18}
 
 
 @settings(max_examples=200, deadline=None)

@@ -24,6 +24,7 @@ from hkmod.hilb2 import (
     resemibis_ranks,
     restrango_check,
     rosetta_check,
+    unicita_report,
 )
 from hkmod.lattice import lattice, vec
 from hkmod.mukai import MukaiNumerics, MukaiVector
@@ -236,6 +237,9 @@ NOT_INTEGERS = [
     (hilb2_ns, (1.0, 2), "m0"),
     (hilb2_ns, (1, 2.0), "d0"),
     (rosetta_check, (3, 1, 2, 5.0), "d0"),
+    # refused at entry, before the parity check can end the report
+    (unicita_report, (1, 2, 2.5), "e"),
+    (unicita_report, (1, 2, True), "e"),
     (resemibis_ranks, ("K3^[2]", 2.5), "r_max"),
     (restrango_check, ("K3^[2]", 4.0, 2), "rank"),
     (restrango_check, ("K3^[2]", 4, 2.0), "m"),

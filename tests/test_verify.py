@@ -13,6 +13,7 @@ import pytest
 import hkmod
 from hkmod import checks, fujiki, hilb2, mukai, nl, pipelines, reduction, verify, walls
 from hkmod.errors import InputError
+from hkmod.lattice import vec
 from hkmod.checks import SUITES
 from hkmod.verify import verify_all
 
@@ -318,6 +319,21 @@ MUTATIONS = {
         reduction, "atiyah_exists",
         lambda f: lambda r, deg: changed(f(r, deg), exists=not f(r, deg).exists),
         "reduction", "coprime_fiber_bundle_cases",
+    ),
+    "m0_s0_off_by_one": (
+        hilb2, "m0_s0",
+        lambda f: lambda r0, e, sign="+": (f(r0, e, sign)[0] + 1, f(r0, e, sign)[1]),
+        "hilb2", "twist_numerics_integral_sweep",
+    ),
+    "h_polarization_shifted": (
+        hilb2, "h_polarization",
+        lambda f: lambda r0, i, sign="+": f(r0, i, sign) + vec((0, 0, 1)),
+        "hilb2", "ambient_dictionary_sweep",
+    ),
+    "governing_divisibility_flipped": (
+        hilb2, "governing_divisibility",
+        lambda f: lambda r0: 3 - f(r0),
+        "hilb2", "parity_of_governing_divisibility",
     ),
 }
 
