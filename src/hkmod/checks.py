@@ -543,14 +543,20 @@ def twist_numerics_integral_sweep(rng):
     for r0 in range(1, 9):
         i = hilb2.governing_divisibility(r0)
         for e in range(1, 401):
-            if not (hilb2.divisibility_type(e, i) and hilb2.econ_check(r0, e)):
+            # the class is where the '+' m0 = num/den and s0 = (m0 + 1)/r0 are integral, of type i
+            num, den = (2 * e + (r0 - 1) ** 2, 4) if r0 % 2 else (e + 2 * (r0 - 1) ** 2, 8)
+            integral = num % den == 0 and (num // den + 1) % r0 == 0
+            typed = not integral or hilb2.divisibility_type(e, i)
+            if hilb2.econ_check(r0, e) != integral or not typed:
+                return False, {"r0": r0, "e": e, "integral": integral}
+            if not integral:
                 continue
             for sign in ("+", "-"):
                 m0, s0 = hilb2.m0_s0(r0, e, sign)
                 shift = r0 - 1 if sign == "+" else r0 + 1
-                exact_m0 = Fraction(e, 2 if r0 % 2 else 8) + Fraction(shift * shift, 4)
+                want = (4 * e if r0 % 2 else e) + 2 * shift * shift  # 8 * (e/2 or e/8 + shift^2/4)
                 h = hilb2.h_polarization(r0, i, sign)
-                if m0 != exact_m0 or (m0 + 1) != s0 * r0 or 2 * h.coords[2] != -i * shift:
+                if 8 * m0 != want or (m0 + 1) != s0 * r0 or 2 * h.coords[2] != -i * shift:
                     return False, {"r0": r0, "e": e, "sign": sign}
             count += 1
     return count > 0, {"cases": count}
@@ -569,19 +575,14 @@ def exterior_square_invariants_closed_form(rng):
 
 
 def ambient_dictionary_sweep(rng):
-    cases = 0
-    for r0 in range(1, 6):
-        i = hilb2.governing_divisibility(r0)
-        for e in range(1, 200):
-            if not (hilb2.divisibility_type(e, i) and hilb2.econ_check(r0, e)):
-                continue
-            for d0 in (1, 7, 211):
-                rep = hilb2.rosetta_check(r0, i, e, d0)
-                if not rep.verdict:
-                    return False, {"r0": r0, "e": e, "d0": d0}
-                cases += 1
-            break
-    return cases > 0, {"cases": cases}
+    cases = list(product(range(1, 6), (1, 7, 211)))  # (r0, d0) at the first degree of each class
+    for r0, d0 in cases:
+        c, step = nl._econ_residue(r0)
+        e = c or step
+        rep = hilb2.rosetta_check(r0, hilb2.governing_divisibility(r0), e, d0)
+        if not rep.verdict:
+            return False, {"r0": r0, "e": e, "d0": d0}
+    return True, {"cases": len(cases)}
 
 
 def induced_ext_generating_function(rng):

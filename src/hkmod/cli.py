@@ -312,22 +312,22 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep_econ(args) -> int:
-    from .hilb2 import divisibility_type, econ_check, governing_divisibility, m0_s0
+    from .hilb2 import governing_divisibility, m0_s0
+    from .nl import _econ_residue
 
     if args.r0max < 1 or args.emax < 1:
         raise InputError("--r0max and --emax must be positive")
     rows = []
-    cases = 0
     for r0 in range(1, args.r0max + 1):
-        i = governing_divisibility(r0)
+        c, step = _econ_residue(r0)  # one class mod step, all of the governing degree type
+        first = c or step
+        count = (args.emax - first) // step + 1  # 0 when first > emax, as 0 < first <= step
         hits = []
-        for e in range(1, args.emax + 1):
-            if not (divisibility_type(e, i) and econ_check(r0, e)):
-                continue
+        for e in range(first, first + 3 * step, step)[:count]:
             m0, s0 = m0_s0(r0, e)  # exact: verify-all proves it in twist_numerics_integral_sweep
             hits.append({"e": e, "m0": m0, "s0": s0})
-            cases += 1
-        rows.append({"r0": r0, "i": i, "count": len(hits), "first": hits[:3]})
+        rows.append({"r0": r0, "i": governing_divisibility(r0), "count": count, "first": hits})
+    cases = sum(row["count"] for row in rows)
     _emit(args, {"r0max": args.r0max, "emax": args.emax, "cases": cases, "rows": rows})
     return 0
 

@@ -102,33 +102,34 @@ def numerics(ns: IntLattice, v: MukaiVector) -> MukaiNumerics:
     return MukaiNumerics.from_square(v.r, mukai_square(ns, v))
 
 
+def _fiber_degree(ns: IntLattice, v: MukaiVector, f: LatVec) -> int:
+    if norm(ns, f) != 0:
+        raise InputError("fiber class must be isotropic: q(f,f) = 0")
+    if f.is_zero or not f.integral:
+        raise InputError("fiber class must be a nonzero integral class")
+    return pair(ns, v.l, f)
+
+
 def twist_by_mf(ns: IntLattice, v: MukaiVector, m: int, f: LatVec) -> MukaiVector:
     """Tensor by the m-th power of the line bundle with isotropic class f."""
-    if norm(ns, f) != 0:
-        raise InputError("twisting class must be isotropic: q(f,f) = 0")
-    if not f.integral:
-        raise InputError("twisting class must be integral")
-    return MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * pair(ns, v.l, f))
+    k = _fiber_degree(ns, v, f)
+    return MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * k)
 
 
 def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -> int:
     """Recover the unique m with w = twist_by_mf(v, m, f), or refuse.
 
     Checks are ordered so the most structural failure is reported first:
-    rank, coprimality hypothesis, fiber-direction difference, rank
-    divisibility, and square. They leave no round trip to check: with
+    fiber class, rank, coprimality hypothesis, fiber-direction difference,
+    rank divisibility, and square. They leave no round trip to check: with
     q(f, f) = 0 and w.l = v.l + x*f, equal squares force
     w.s = v.s + (x/r)*q(v.l, f), which is twist_by_mf(v, x/r, f).
     """
-    if norm(ns, f) != 0:
-        raise InputError("twisting class must be isotropic: q(f,f) = 0")
-    if f.is_zero or not f.integral:
-        raise InputError("twisting class must be a nonzero integral class")
+    k = _fiber_degree(ns, v, f)
     if v.r != w.r:
         raise MathCheckError(f"rank mismatch: {v.r} != {w.r}")
     if v.r < 1:
         raise InputError("normalization needs a positive rank")
-    k = pair(ns, v.l, f)
     if gcd(v.r, k) != 1:
         raise MathCheckError(f"gcd(r, q(l,f)) = gcd({v.r}, {k}) != 1")
     diff = w.l - v.l

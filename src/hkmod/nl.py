@@ -18,7 +18,7 @@ from .errors import (
     SearchCapExceeded,
 )
 from .jsonio import _check_int, _level
-from .lattice import LatVec, primitive_part, vec
+from .lattice import LatVec, vec
 from .record import Record, setfield
 
 DEFAULT_SEARCH_CAP = 10**7
@@ -40,22 +40,22 @@ def check_parity(r0: int, i: int) -> None:
         raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
 
 
-def econ_check(r0: int, e: int) -> bool:
-    """Congruence on e that makes the twist slope integral, by r0 mod 4:
+def _econ_residue(r0: int) -> tuple[int, int]:
+    """The class c mod M of the degrees e that make the twist slope integral, by r0 mod 4:
     e = 4*r0 - 10 (mod 8*r0)   when r0 = 0,
     e = (r0 - 5)/2 (mod 2*r0)  when r0 = 1,
     e = -10 (mod 8*r0)         when r0 = 2,
     e = -(r0 + 5)/2 (mod 2*r0) when r0 = 3."""
+    modulus = 2 * r0 if r0 % 2 else 8 * r0
+    return (4 * r0 - 10, (r0 - 5) // 2, -10, -(r0 + 5) // 2)[r0 % 4] % modulus, modulus
+
+
+def econ_check(r0: int, e: int) -> bool:
+    """Congruence on e that makes the twist slope integral: e in the class _econ_residue(r0)."""
     check_r0(r0)
     _check_int(e, "e")
-    m = r0 % 4
-    if m == 0:
-        return e % (8 * r0) == (4 * r0 - 10) % (8 * r0)
-    if m == 1:
-        return e % (2 * r0) == ((r0 - 5) // 2) % (2 * r0)
-    if m == 2:
-        return e % (8 * r0) == (-10) % (8 * r0)
-    return e % (2 * r0) == (-(r0 + 5) // 2) % (2 * r0)
+    c, modulus = _econ_residue(r0)
+    return e % modulus == c
 
 
 def check_econ(r0: int, e: int) -> None:
@@ -97,22 +97,20 @@ class NefIsotropicClasses(Record):
 def nef_isotropic_classes(e: int, d: int) -> NefIsotropicClasses:
     """Both isotropic rays of [[e, d], [d, 0]] and their pairings with h.
 
-    Wants e > 0 even and d > 0. The second ray is the primitive part of
-    (2d, -e); the fiber ray is distinguished (unique) exactly when the
-    two rays pair differently with h, which happens iff e does not
-    divide 2d.
+    Wants e > 0 even and d > 0. The second ray is the primitive part
+    (2d, -e)/g, g = gcd(2d, e), and pairs to d*e/g with h; the fiber ray
+    (0, 1) is distinguished (unique) exactly when the two rays pair
+    differently with h, which happens iff e does not divide 2d.
     """
-    if d <= 0:
-        raise InputError("d must be positive")
+    _check_int(d, "d", 1)
+    _check_int(e, "e")
     if e <= 0 or e % 2:
         raise InputError("e must be positive and even")
-    from .walls import EllipticNS  # only this routine needs the wall module
-
-    ns = EllipticNS(e, d)
-    alpha = primitive_part(ns.lattice, vec((2 * d, -e)))
-    q_alpha_h = ns.q(alpha, ns.h)
+    g = gcd(2 * d, e)
+    alpha = vec((2 * d // g, -e // g))
+    q_alpha_h = d * e // g
     return NefIsotropicClasses(
-        rays=((ns.f, d), (alpha, q_alpha_h)),
+        rays=((vec((0, 1)), d), (alpha, q_alpha_h)),
         alpha=alpha,
         pairing_alpha_h=q_alpha_h,
         unique=q_alpha_h != d,

@@ -12,8 +12,8 @@ from math import gcd
 
 from .errors import InputError, MathCheckError
 from .jsonio import _check_int
-from .lattice import IntLattice, LatVec, norm, pair
-from .mukai import MukaiVector, mukai_square
+from .lattice import IntLattice, LatVec
+from .mukai import MukaiVector, _fiber_degree, mukai_square
 from .record import Record, setfield
 
 
@@ -73,14 +73,6 @@ class ReductionTrace(Record):
         setfield(self, "final", final)
         setfield(self, "steps", steps)
         setfield(self, "squares", squares)
-
-
-def _fiber_degree(ns: IntLattice, v: MukaiVector, f: LatVec) -> int:
-    if norm(ns, f) != 0:
-        raise InputError("fiber class must be isotropic: q(f,f) = 0")
-    if f.is_zero or not f.integral:
-        raise InputError("fiber class must be a nonzero integral class")
-    return pair(ns, v.l, f)
 
 
 def rigid_vector(ns: IntLattice, v: MukaiVector, f: LatVec) -> MukaiVector:

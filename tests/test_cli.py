@@ -1,16 +1,21 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hkmod
 import hkmod.checks
 from hkmod.__main__ import run as run_process
 from hkmod.cli import COMMANDS, build_parser, main
+from hkmod.hilb2 import divisibility_type, econ_check, governing_divisibility, m0_s0
 
 
 @pytest.fixture()
@@ -365,6 +370,45 @@ def test_sweep_econ(capsys):
     assert payload["rows"][1]["first"][0] == {"e": 6, "m0": 1, "s0": 1}
 
 
+def grid_sweep(r0max, emax):
+    """The sweep-econ payload as the grid loop built it, testing every degree in 1..emax."""
+    rows = []
+    cases = 0
+    for r0 in range(1, r0max + 1):
+        i = governing_divisibility(r0)
+        hits = []
+        for e in range(1, emax + 1):
+            if not (divisibility_type(e, i) and econ_check(r0, e)):
+                continue
+            m0, s0 = m0_s0(r0, e)
+            hits.append({"e": e, "m0": m0, "s0": s0})
+            cases += 1
+        rows.append({"r0": r0, "i": i, "count": len(hits), "first": hits[:3]})
+    return {"r0max": r0max, "emax": emax, "cases": cases, "rows": rows}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3000))
+def test_sweep_econ_rows_equal_the_grid_loop(r0max, emax):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep-econ", "--r0max", str(r0max), "--emax", str(emax), "--json",
+                     "--no-timestamp"])
+    assert code == 0
+    assert json.loads(out.getvalue()) == grid_sweep(r0max, emax)
+
+
+def test_sweep_econ_cost_does_not_grow_with_emax(capsys):
+    # each row is one residue class: its count is one division and its first hits are three
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["sweep-econ", "--r0max", "8", "--emax", "1000000000000",
+                                "--json", "--no-timestamp"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["rows"][0]["count"] == 500000000000  # r0 = 1: every even e
+    assert elapsed < 2, f"sweep-econ at emax = 10^12 took {elapsed:.2f}s, budget 2s"
+
+
 @pytest.mark.parametrize("command", ["rigid", "reduce"])
 def test_rank_3_lattice_needs_a_fiber_class(capsys, files, tmp_path, command):
     ns = tmp_path / "ns3.json"
@@ -429,6 +473,7 @@ def test_verify_all_output_is_frozen(capsys, argv, golden):
         (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, "unicita.txt"),
         (["vbk3ell", "--scenario", "scenario_vb"], 0, "vbk3ell.txt"),
         (["casoprim", "--scenario", "scenario_cp"], 0, "casoprim.txt"),
+        (["sweep-econ", "--r0max", "8", "--emax", "200"], 0, "sweep_econ.txt"),
     ],
 )
 def test_human_output_is_frozen(capsys, files, argv, code, golden):
@@ -607,9 +652,9 @@ FOOTPRINTS = [
      ["mukai", "reduction", "walls"]),
     (["rigid", "--ns", "ns", "--v", "v"], 0, ["mukai", "reduction", "walls"]),
     (["nl", "--kind", "hk", "--e", "3", "--d", "74", "--i", "1"], 0, ["nl"]),
-    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, ["nl", "walls"]),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, ["nl"]),
     (["nl", "--kind", "k3", "--e", "4", "--d", "51", "--r0", "2", "--vsq", "0"], 0,
-     ["mukai", "nl", "walls"]),
+     ["mukai", "nl"]),
     (["nl-search", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
     (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
     (["vbk3ell", "--scenario", "scenario_vb"], 0, ["mukai", "pipelines", "walls"]),

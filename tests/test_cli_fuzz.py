@@ -9,7 +9,7 @@ contract on small argv values, with argparse's usage error counted as exit 2.
 Integers stay small and numeric strings stay short, so no case reaches the scans
 that nothing bounds yet (a wall level of 10**9, say). The exceptions are a number past the
 input digit bound and a short exponent form such as 1e100000000, which every reader refuses
-before any scan.
+before any scan, and sweep-econ's --emax, which takes any integer of at most that many digits.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from hkmod import cli
 from hkmod.cli import main
+from hkmod.jsonio import MAX_DIGITS
 
 SCENARIO_VECTORS = {"v": {"r": 2, "l": [1, 0], "s": 0}, "h": [1, 5]}
 FILES = {
@@ -112,8 +113,10 @@ def test_any_small_json_input_keeps_the_exit_code_contract(command, data):
 # ones most parameters need, short p/q strings, strings off the number grammar (decimal,
 # exponent, underscore, inner-space and non-ASCII-digit forms, refused before any scan), and
 # one number past the input digit bound. Other magnitudes stay small for the same reason as
-# above: `walls --a 10000000` is a scan that nothing bounds yet.
+# above: `walls --a 10000000` is a scan that nothing bounds yet. sweep-econ's --emax is not one:
+# the sweep reads each row off a residue class, so it draws up to the input digit bound.
 INTS = (st.integers(0, 8) | st.integers(-10, 40)).map(str)
+WIDE_INTS = {("sweep-econ", "--emax"): INTS | st.integers(-10, 10**MAX_DIGITS - 1).map(str)}
 ARG_VALUES = (
     INTS
     | st.builds("{}/{}".format, st.integers(-10, 40), st.integers(-3, 9))
@@ -144,7 +147,8 @@ def test_any_numeric_argv_keeps_the_exit_code_contract(command, data):
     for flag in flags:
         if flag == "--cap" and not data.draw(st.booleans(), label="with --cap"):
             continue
-        argv += [flag, data.draw(ARG_VALUES if flag == odd else INTS, label=flag)]
+        ints = WIDE_INTS.get((command, flag), INTS)
+        argv += [flag, data.draw(ARG_VALUES if flag == odd else ints, label=flag)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

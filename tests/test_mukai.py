@@ -90,6 +90,14 @@ def test_twist_example():
         twist_by_mf(E4D1, v, 1, vec((0, Fraction(1, 2))))  # isotropic but not integral
 
 
+def test_twist_refuses_the_zero_class():
+    # 0 is isotropic and integral, but no fiber class: normalize_twist and reduction refuse it too
+    v = MukaiVector(2, H, 0)
+    for routine in (lambda f: twist_by_mf(E4D1, v, 1, f), lambda f: normalize_twist(E4D1, v, v, f)):
+        with pytest.raises(InputError, match="^fiber class must be a nonzero integral class$"):
+            routine(vec((0, 0)))
+
+
 def test_normalize_twist_roundtrip():
     v = MukaiVector(3, vec((1, -2)), 4)
     for m in range(-3, 4):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -27,10 +28,12 @@ from hkmod.hilb2 import (
     unicita_report,
 )
 from hkmod.lattice import lattice, vec
+from hkmod.jsonio import _check_int
 from hkmod.mukai import MukaiNumerics, MukaiVector
 from hkmod.nl import (
     buonacompt_bound,
     buonacompt_min_d,
+    check_r0,
     nef_isotropic_classes,
     nl_hk_admissible,
     nl_k3_admissible,
@@ -75,6 +78,48 @@ def test_nef_isotropic_frozen():
         nef_isotropic_classes(4, 0)
     with pytest.raises(InputError):
         nef_isotropic_classes(0, 2)
+    for e in (4.0, True):  # a float or a bool is no degree, even where it would pass as even
+        with pytest.raises(InputError, match="^e must be an integer$"):
+            nef_isotropic_classes(e, 3)
+
+
+def four_branch_econ(r0, e):
+    """econ_check as four branches on r0 mod 4, before the congruence was one residue class."""
+    check_r0(r0)
+    _check_int(e, "e")
+    m = r0 % 4
+    if m == 0:
+        return e % (8 * r0) == (4 * r0 - 10) % (8 * r0)
+    if m == 1:
+        return e % (2 * r0) == ((r0 - 5) // 2) % (2 * r0)
+    if m == 2:
+        return e % (8 * r0) == (-10) % (8 * r0)
+    return e % (2 * r0) == (-(r0 + 5) // 2) % (2 * r0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(-(10**30), 10**30))
+def test_econ_check_is_the_four_branch_congruence(r0, base):
+    # both sides have period 8*r0, so one period from any base covers every degree
+    for e in range(base, base + 8 * r0):
+        assert econ_check(r0, e) == four_branch_econ(r0, e), (r0, e)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+NOT_INTS = st.sampled_from([True, False, 2.0, 6.5, "6", None, Fraction(6)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 12) | NOT_INTS, st.integers(-20, 40) | NOT_INTS)
+def test_econ_check_refuses_as_the_four_branch_congruence(r0, e):
+    # r0 is refused first, then e
+    assert outcome(econ_check, r0, e) == outcome(four_branch_econ, r0, e)
 
 
 def test_nl_k3_admissible():

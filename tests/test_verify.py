@@ -138,6 +138,17 @@ def first_coprime_from(start, r0):
     return next(d0 for d0 in count(start) if gcd(d0, r0) == 1)
 
 
+def with_data(report, **data):
+    """The same report with some data entries added or replaced."""
+    return changed(report, data={**report.data, **data})
+
+
+def numbering_calls(f):
+    """f with each report it returns numbering the call: the same scenario, a different report."""
+    calls = count()
+    return lambda sc: with_data(f(sc), call=next(calls))
+
+
 def ignoring(rep, reason):
     """The same admissibility report with one condition no longer counted."""
     reasons = tuple(r for r in rep.reasons if r != reason)
@@ -335,6 +346,88 @@ MUTATIONS = {
         lambda f: lambda r0: 3 - f(r0),
         "hilb2", "parity_of_governing_divisibility",
     ),
+    "econ_residue_shifted": (
+        nl, "_econ_residue",
+        lambda f: lambda r0: ((f(r0)[0] + 2) % f(r0)[1], f(r0)[1]),
+        "hilb2", "twist_numerics_integral_sweep",
+    ),
+    "pair_asymmetric": (
+        checks, "pair",
+        lambda f: lambda lat, u, v: f(lat, u, v) + v.coords[0],
+        "lattice", "pairing_bilinear_symmetric",
+    ),
+    "discriminant_off_by_one": (
+        checks, "discriminant",
+        lambda f: lambda lat: f(lat) + 1,
+        "lattice", "rank2_discriminant",
+    ),
+    "primitive_part_doubled": (
+        checks, "primitive_part",
+        lambda f: lambda lat, v: 2 * f(lat, v),
+        "lattice", "primitive_part_idempotent",
+    ),
+    "saturation_negated": (
+        checks, "saturation_check",
+        lambda f: lambda lat, u, v: not f(lat, u, v),
+        "lattice", "saturation_detects_imprimitive_span",
+    ),
+    "mukai_square_off_by_one": (
+        checks, "mukai_square",
+        lambda f: lambda ns, v: f(ns, v) + 1,
+        "mukai", "square_even_on_even_lattices",
+    ),
+    "normalize_twist_off_by_one": (
+        checks, "normalize_twist",
+        lambda f: lambda ns, v, w, fib: f(ns, v, w, fib) + 1,
+        "mukai", "normalize_recovers_twist",
+    ),
+    "from_chern_bumps_s": (
+        checks, "from_chern",
+        lambda f: lambda ns, r, c1, c2: bump_s(f(ns, r, c1, c2)),
+        "mukai", "chern_dictionary_cases",
+    ),
+    "numerics_delta_off_by_one": (
+        checks, "numerics",
+        lambda f: lambda ns, v: changed(f(ns, v), delta=f(ns, v).delta + 1),
+        "mukai", "derived_numerics_identities",
+    ),
+    "fujiki_constant_off_by_one": (
+        fujiki, "fujiki_constant",
+        lambda f: lambda kind: f(kind) + 1,
+        "fujiki", "constants_table",
+    ),
+    "double_factorial_off_by_one": (
+        fujiki, "double_factorial",
+        lambda f: lambda n: f(n) + 1,
+        "fujiki", "matchings_count_double_factorial",
+    ),
+    "top_intersection_doubled": (
+        fujiki, "top_intersection",
+        lambda f: lambda setup, classes: 2 * f(setup, classes),
+        "fujiki", "top_power_closed_form",
+    ),
+    "top_intersection_reads_the_order": (
+        fujiki, "top_intersection",
+        lambda f: lambda setup, classes: f(setup, classes) + classes[0].coords[0],
+        "fujiki", "matchings_sum_permutation_invariant",
+    ),
+    "modular_integral_off_by_one": (
+        fujiki, "modular_delta_integral",
+        lambda f: lambda setup, d_mod, classes: f(setup, d_mod, classes) + 1,
+        "fujiki", "modular_integral_scales_linearly",
+    ),
+    "vbk3ell_expected_dim_off_by_one": (
+        pipelines, "vbk3ell_pipeline",
+        lambda f: lambda ns, v, h=None: with_data(
+            f(ns, v, h), expected_dim=f(ns, v, h).data["expected_dim"] + 1
+        ),
+        "pipelines", "pipeline_example_verdicts",
+    ),
+    "run_scenario_counts_its_calls": (
+        pipelines, "run_scenario",
+        numbering_calls,
+        "pipelines", "reports_are_deterministic",
+    ),
 }
 
 
@@ -347,3 +440,9 @@ def test_identity_check_catches_a_wrong_answer(monkeypatch, mutation):
     result = verify._check(suite, fn)
     assert not result.passed
     assert "error" not in result.data  # refuted by a comparison, not by a crash
+
+
+def test_every_check_refutes_a_mutation():
+    # as test_every_check_is_in_the_table_once does for the table: no check goes unproven
+    refuting = {check for *_, check in MUTATIONS.values()}
+    assert refuting == {fn.__name__ for _, fn in TABLE}
