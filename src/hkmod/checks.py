@@ -18,6 +18,7 @@ from itertools import product
 from math import floor, gcd
 
 from . import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
+from .errors import NoAdmissibleParameter
 from .jsonio import canonical_json, to_rational
 from .lattice import (
     content,
@@ -30,6 +31,7 @@ from .lattice import (
     vec,
 )
 from .mukai import MukaiVector, from_chern, mukai_square, normalize_twist, numerics, twist_by_mf
+from .report import Check, TheoremReport
 
 
 def _rand_sym(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> tuple:
@@ -318,7 +320,7 @@ def threshold_guarantees_empty(rng):
         for a in (Fraction(3), Fraction(12), Fraction(5, 2)):
             thr = walls.no_wall_threshold(e, a)
             for d in (thr, thr + 1, thr + 5):
-                if walls.enumerate_wall_classes(walls.EllipticNS(e, d), a):
+                if next(walls._wall_stream(e, d, a), None):
                     return False, {"e": e, "a": a, "d": d}
     return True
 
@@ -502,7 +504,7 @@ def admissibility_examples(rng):
     num = mukai.MukaiNumerics.from_square(2, 4)
     if not nl.nl_k3_admissible(4, 31, num).ok:
         return False, {"case": 31}
-    if walls.enumerate_wall_classes(walls.EllipticNS(4, 31), num.a_v):
+    if next(walls._wall_stream(4, 31, num.a_v), None):
         return False, {"case": "31 walls"}
     if nl.nl_k3_admissible(4, 30, num).ok or nl.nl_k3_admissible(4, 32, num).ok:
         return False, {"case": "30/32"}
@@ -520,7 +522,7 @@ def admissibility_examples(rng):
                 return False, {"case": "propriostab", "e": e, "d": d, "i": i, "a0": a0, "m": m}
     if not nl.propriostab_admissible(6, 74, 2, 12, 1).ok:
         return False, {"case": "propriostab 74"}
-    if walls.enumerate_wall_classes(walls.EllipticNS(6, 74), 12):
+    if next(walls._wall_stream(6, 74, 12), None):
         return False, {"case": "propriostab 74 walls"}
     return True
 
@@ -574,14 +576,62 @@ def exterior_square_invariants_closed_form(rng):
     return True
 
 
+def _rosetta_from_parts(r0: int, i: int, e: int, d0: int) -> TheoremReport:
+    """The report rosetta_check owes a case whose identities all hold: each check passes on
+    the values its identity names."""
+    h, f = hilb2.h_polarization(r0, i), vec((0, 1, 0))
+    checks = (
+        Check("q_h_equals_e", True, {"q_h": e, "e": e}),
+        Check("divisibility_equals_i", True, {"div": i, "i": i}),
+        Check("q_h_f_equals_i_d0", True, {"q_h_f": i * d0, "i*d0": i * d0}),
+        Check("q_f_zero", True, {"q_f": 0}),
+        Check("h_f_saturated", True, {"h": h.to_json_dict(), "f": f.to_json_dict()}),
+    )
+    data = {"r0": r0, "i": i, "e": e, "d0": d0, "d": i * d0, "m0": hilb2.m0_s0(r0, e)[0]}
+    return TheoremReport("rosetta", checks, data)
+
+
+def _unicita_from_parts(i: int, r0: int, e: int) -> TheoremReport:
+    """The report unicita_report owes (i, r0, e) when its chain holds up to the fiber degree
+    search, built from the routines the links call: an empty search ends it, a found degree
+    adds the link of _rosetta_from_parts there."""
+    m0, s0 = hilb2.m0_s0(r0, e)
+    invariants = {**hilb2.f2_invariants(r0).to_json_dict(), "c1_coeff": r0 // i,
+                  "hypothesis": "chi(End F) = 2"}
+    checks = (
+        Check("parity", True, {"r0": r0, "i": i}),
+        Check("divisibility_type", True,
+              {"e": e, "rule": "e > 0 even" if i == 1 else "e > 0 and e = 6 mod 8"}),
+        Check("econ", True, {"r0": r0, "e": e, "r0_mod_4": r0 % 4}),
+        Check("m0_s0", True, {"m0": m0, "s0": s0}),
+        Check("f2_invariants", True, invariants),
+        Check("rigsuk_min_d0", True, {"d0": nl.rigsuk_min_d0(m0, r0), "bound": nl.rigsuk_bound(m0, r0)}),
+    )
+    try:
+        min_d = nl.buonacompt_min_d(r0, e, i)
+    except NoAdmissibleParameter as exc:
+        checks += (Check("buonacompt_min_d", False, {"error": str(exc)}),)
+    else:
+        rosetta = _rosetta_from_parts(r0, i, e, min_d // i)
+        verdicts = {c.name: c.passed for c in rosetta.checks}
+        checks += (
+            Check("buonacompt_min_d", True, {"min_d": min_d, "bound": nl.buonacompt_bound(r0, e)}),
+            Check("rosetta", True, {"d0": min_d // i, "d": min_d, "checks": verdicts}),
+        )
+    return TheoremReport("unicita", checks, {"i": i, "r0": r0, "e": e})
+
+
 def ambient_dictionary_sweep(rng):
+    """Whole rosetta_check and unicita_report reports, check names, flags and data, against
+    the reports built from their parts: a check dropped or renamed is refuted too."""
     cases = list(product(range(1, 6), (1, 7, 211)))  # (r0, d0) at the first degree of each class
     for r0, d0 in cases:
         c, step = nl._econ_residue(r0)
-        e = c or step
-        rep = hilb2.rosetta_check(r0, hilb2.governing_divisibility(r0), e, d0)
-        if not rep.verdict:
-            return False, {"r0": r0, "e": e, "d0": d0}
+        e, i = c or step, hilb2.governing_divisibility(r0)
+        if hilb2.rosetta_check(r0, i, e, d0) != _rosetta_from_parts(r0, i, e, d0):
+            return False, {"r0": r0, "e": e, "d0": d0, "report": "rosetta"}
+        if hilb2.unicita_report(i, r0, e) != _unicita_from_parts(i, r0, e):
+            return False, {"r0": r0, "e": e, "report": "unicita"}
     return True, {"cases": len(cases)}
 
 

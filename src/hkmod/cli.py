@@ -60,6 +60,25 @@ def _emit(args, payload: dict) -> None:
             print(line)
 
 
+def _emit_rows(args, head: dict, rows) -> None:
+    """_emit(args, {**head, "rows": list(rows)}) with each row printed as it is made, so no run
+    holds its rows. "rows" sorts after every key of head, and rows is never empty."""
+    if args.json:
+        if not args.no_timestamp:
+            head = {**head, "generated_at": _timestamp()}
+        sys.stdout.write(canonical_json(head)[:-2] + ',"rows":[')  # head without its "}\n"
+        for n, row in enumerate(rows):
+            sys.stdout.write(("," if n else "") + canonical_json(row)[:-1])
+        sys.stdout.write("]}\n")
+    else:
+        for line in _human_lines(encode(head)):
+            print(line)
+        print("rows:")
+        for row in rows:
+            for line in _human_lines([encode(row)], 1):
+                print(line)
+
+
 def _int(text: str) -> int:
     """argparse type: an integer of the jsonio grammar (no p/q), within jsonio.MAX_DIGITS."""
     try:
@@ -317,18 +336,23 @@ def cmd_sweep_econ(args) -> int:
 
     if args.r0max < 1 or args.emax < 1:
         raise InputError("--r0max and --emax must be positive")
-    rows = []
-    for r0 in range(1, args.r0max + 1):
+
+    def first_step_count(r0: int) -> tuple[int, int, int]:
         c, step = _econ_residue(r0)  # one class mod step, all of the governing degree type
-        first = c or step
-        count = (args.emax - first) // step + 1  # 0 when first > emax, as 0 < first <= step
-        hits = []
-        for e in range(first, first + 3 * step, step)[:count]:
-            m0, s0 = m0_s0(r0, e)  # exact: verify-all proves it in twist_numerics_integral_sweep
-            hits.append({"e": e, "m0": m0, "s0": s0})
-        rows.append({"r0": r0, "i": governing_divisibility(r0), "count": count, "first": hits})
-    cases = sum(row["count"] for row in rows)
-    _emit(args, {"r0max": args.r0max, "emax": args.emax, "cases": cases, "rows": rows})
+        first = c or step  # the count is 0 when first > emax, as 0 < first <= step
+        return first, step, (args.emax - first) // step + 1
+
+    def rows():
+        for r0 in range(1, args.r0max + 1):
+            first, step, count = first_step_count(r0)
+            hits = []
+            for e in range(first, first + 3 * step, step)[:count]:
+                m0, s0 = m0_s0(r0, e)  # exact: verify-all proves it in twist_numerics_integral_sweep
+                hits.append({"e": e, "m0": m0, "s0": s0})
+            yield {"r0": r0, "i": governing_divisibility(r0), "count": count, "first": hits}
+
+    cases = sum(first_step_count(r0)[2] for r0 in range(1, args.r0max + 1))
+    _emit_rows(args, {"r0max": args.r0max, "emax": args.emax, "cases": cases}, rows())
     return 0
 
 

@@ -110,10 +110,20 @@ def _fiber_degree(ns: IntLattice, v: MukaiVector, f: LatVec) -> int:
     return pair(ns, v.l, f)
 
 
+def _twist(ns: IntLattice, v: MukaiVector, c: LatVec, m: int) -> MukaiVector:
+    """Tensor by the m-th power of the line bundle with class c:
+    (r, l + m*r*c, s + m*q(l, c) + m^2*r*q(c)/2). Refuses a shift of s that is not an integer."""
+    shift = m * pair(ns, v.l, c) + Fraction(v.r * m * m * norm(ns, c), 2)
+    if shift.denominator != 1:
+        raise MathCheckError(f"twist shifts the last component by the non-integer {shift}")
+    return MukaiVector(v.r, v.l + (m * v.r) * c, v.s + shift.numerator)
+
+
 def twist_by_mf(ns: IntLattice, v: MukaiVector, m: int, f: LatVec) -> MukaiVector:
     """Tensor by the m-th power of the line bundle with isotropic class f."""
-    k = _fiber_degree(ns, v, f)
-    return MukaiVector(v.r, v.l + (m * v.r) * f, v.s + m * k)
+    _fiber_degree(ns, v, f)
+    _check_int(m, "m")
+    return _twist(ns, v, f, m)
 
 
 def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -> int:

@@ -8,21 +8,19 @@ block carries everything that is merely reported.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, MathCheckError
+from .errors import InputError
 from .jsonio import _check_int, _shown, load_json_file
 from .lattice import (
     IntLattice,
     LatVec,
     content,
     latvec_from_json,
-    norm,
     pair,
     primitive_part,
 )
-from .mukai import MukaiVector, mukai_from_json, numerics
+from .mukai import MukaiVector, _twist, mukai_from_json, numerics
 from .record import Record, setfield
 from .report import Check, TheoremReport
 from .walls import (
@@ -132,13 +130,7 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
         raise InputError("twisting needs a positive rank")
     if not h.integral:
         raise InputError("twisting class must be integral")
-    q_h = norm(ns, h)
-    s_shift = n * pair(ns, v.l, h) + Fraction(v.r * n * n * q_h, 2)
-    if s_shift.denominator != 1:
-        raise MathCheckError(
-            f"twist shifts the last component by the non-integer {s_shift}"
-        )
-    w = MukaiVector(v.r, v.l + (v.r * n) * h, v.s + s_shift.numerator)
+    w = _twist(ns, v, h, n)
     x = content(w.l)
     ray = primitive_part(ns, w.l) if x else None
     return TwistResult(

@@ -9,6 +9,7 @@ signs against the two cone edges.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm
@@ -108,25 +109,23 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     ranges over the exact interval forced by -a <= x*(e*x + 2*d*y) < 0.
     Only the lower end reads the level; the upper end is an integer floor.
     """
+    return list(_wall_stream(ns.e, ns.d, a))
+
+
+def _wall_stream(e: int, d: int, a) -> Iterator[WallClass]:
+    """The wall classes of enumerate_wall_classes one at a time, in the same order."""
     a = _level(a)
-    e, d = ns.e, ns.d
-    out: list[WallClass] = []
     for x in range(1, floor(a) + 1):  # |q| >= x for any admissible y, so x is bounded by a
         lo = ceil((-a / x - e * x) / (2 * d))
         hi = (-1 - e * x) // (2 * d)
         for y in range(lo, hi + 1):
-            if gcd(x, abs(y)) != 1:
-                continue
-            q = x * (e * x + 2 * d * y)
-            out.append(
-                WallClass(
-                    lam=vec((x, y)),
-                    norm=q,
-                    pair_h=e * x + d * y,
-                    pair_f=d * x,
-                )
-            )
-    return out
+            if gcd(x, abs(y)) == 1:
+                yield _wall(e, d, x, y)
+
+
+def _wall(e: int, d: int, x: int, y: int) -> WallClass:
+    """The class x*h + y*f with the norm and the pairings with h and f that a wall stores."""
+    return WallClass(vec((x, y)), norm=x * (e * x + 2 * d * y), pair_h=e * x + d * y, pair_f=d * x)
 
 
 def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
@@ -144,11 +143,8 @@ def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
     h1, h2 = h.coords  # ints and Fractions both carry numerator and denominator
     scale = lcm(h1.denominator, h2.denominator)
     h1, h2 = h1.numerator * (scale // h1.denominator), h2.numerator * (scale // h2.denominator)
-    x, y = _perpendicular(e, d, h1, h2)
-    q = x * (e * x + 2 * d * y)
-    if q < -a:
-        return None
-    return WallClass(lam=vec((x, y)), norm=q, pair_h=e * x + d * y, pair_f=d * x)
+    wall = _wall(e, d, *_perpendicular(e, d, h1, h2))
+    return None if wall.norm < -a else wall
 
 
 def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
@@ -157,13 +153,14 @@ def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
     Every wall pairs positively with f (pair_f = d*x > 0), so h is
     suitable iff each wall pairs positively with h too; the witnesses
     are the walls with lam.h = h1*pair_h + h2*pair_f <= 0, read from the
-    fields each wall stores. Generic means no wall is orthogonal to h,
-    which orthogonal_wall decides without the enumeration.
+    fields each wall stores as the walls stream past, so only the witnesses
+    are held. Generic means no wall is orthogonal to h, which
+    orthogonal_wall decides without the enumeration.
     """
     generic = orthogonal_wall(ns, a, h) is None
     h1, h2 = h.coords
     witnesses = tuple(
-        wall for wall in enumerate_wall_classes(ns, a) if h1 * wall.pair_h + h2 * wall.pair_f <= 0
+        wall for wall in _wall_stream(ns.e, ns.d, a) if h1 * wall.pair_h + h2 * wall.pair_f <= 0
     )
     return SuitabilityReport(suitable=not witnesses, generic=generic, witnesses=witnesses)
 
@@ -202,7 +199,7 @@ def no_wall_threshold(e: int, a) -> int:
     Returns floor(a*(1+e)/2) + 1. A wall class x*h + y*f has 1 <= x <= a
     and t = -(e*x + 2d*y) >= 1 with x*t <= a, so y <= -1 and
     2d <= e*x + a/x <= (e+1)*a. The verify-all check
-    walls.threshold_guarantees_empty confirms the emptiness by enumeration.
+    walls.threshold_guarantees_empty confirms the emptiness on the wall stream.
     """
     a = _level(a)
     _check_int(e, "e")

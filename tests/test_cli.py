@@ -409,6 +409,28 @@ def test_sweep_econ_cost_does_not_grow_with_emax(capsys):
     assert elapsed < 2, f"sweep-econ at emax = 10^12 took {elapsed:.2f}s, budget 2s"
 
 
+# Runs argv in a grandchild and prints its exit code and the peak resident memory that
+# os.wait4 reports for it. A child forked from the test process would count that process's
+# resident memory in its own peak, so a small interpreter in between does the fork.
+PEAK_RSS = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, kB on Linux
+print(os.waitstatus_to_exitcode(status), peak_mb)
+"""
+
+
+@pytest.mark.parametrize("mode", [[], ["--json", "--no-timestamp"]], ids=["text", "json"])
+def test_sweep_econ_memory_does_not_grow_with_r0max(mode):
+    # each row is printed as it is made; holding them all took 74 MB (text) and 41 MB (JSON)
+    argv = ["-m", "hkmod", "sweep-econ", "--r0max", "20000", "--emax", "100000", *mode]
+    proc = run_child("-c", PEAK_RSS, sys.executable, *argv)
+    code, peak_mb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert float(peak_mb) < 30, f"sweep-econ at r0max = 20000 peaked at {peak_mb} MB, budget 30 MB"
+
+
 @pytest.mark.parametrize("command", ["rigid", "reduce"])
 def test_rank_3_lattice_needs_a_fiber_class(capsys, files, tmp_path, command):
     ns = tmp_path / "ns3.json"
@@ -538,16 +560,21 @@ def test_argparse_usage_errors():
         main([])
 
 
-def run_child(*args, timeout=60):
-    """Run the interpreter with args; the child imports the same hkmod as this test."""
+def child_env():
+    """The environment of a child interpreter that imports the same hkmod as this test."""
     src = str(Path(hkmod.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(*args, timeout=60):
+    """Run the interpreter with args; the child imports the same hkmod as this test."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 

@@ -149,6 +149,11 @@ def numbering_calls(f):
     return lambda sc: with_data(f(sc), call=next(calls))
 
 
+def without_last_check(report):
+    """The same theorem report with its last check dropped: a verdict that stays true."""
+    return changed(report, checks=report.checks[:-1])
+
+
 def ignoring(rep, reason):
     """The same admissibility report with one condition no longer counted."""
     reasons = tuple(r for r in rep.reasons if r != reason)
@@ -339,6 +344,16 @@ MUTATIONS = {
     "h_polarization_shifted": (
         hilb2, "h_polarization",
         lambda f: lambda r0, i, sign="+": f(r0, i, sign) + vec((0, 0, 1)),
+        "hilb2", "ambient_dictionary_sweep",
+    ),
+    "rosetta_drops_saturation": (
+        hilb2, "rosetta_check",
+        lambda f: lambda *args: without_last_check(f(*args)),  # h_f_saturated is the last check
+        "hilb2", "ambient_dictionary_sweep",
+    ),
+    "unicita_drops_last_check": (
+        hilb2, "unicita_report",
+        lambda f: lambda *args, **kwargs: without_last_check(f(*args, **kwargs)),
         "hilb2", "ambient_dictionary_sweep",
     ),
     "governing_divisibility_flipped": (

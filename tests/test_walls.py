@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hkmod.walls import (
     orthogonal_wall,
     suitability_for,
     wall_ray,
+    _wall_stream,
 )
 
 
@@ -324,7 +326,32 @@ def test_two_sign_oracle_does_not_read_the_enumeration(monkeypatch):
     ns, h = EllipticNS(2, 3), vec((12, -3))
     want = checks._two_sign_suitability(ns, 6, h)
     monkeypatch.setattr(
-        "hkmod.walls.enumerate_wall_classes", lambda ns, a: enumerate_wall_classes(ns, a)[:-1]
+        "hkmod.walls._wall_stream", lambda e, d, a: iter(list(_wall_stream(e, d, a))[:-1])
     )
     assert suitability_for(ns, 6, h) != want  # the dropped wall is a witness
     assert checks._two_sign_suitability(ns, 6, h) == want
+
+
+def test_wall_stream_is_lazy():
+    # the rows of this level hold more walls than memory does; the first wall is at x = 1
+    first = next(_wall_stream(4, 1, 10**12))
+    assert (first.lam.int_coords(), first.norm) == ((1, -500000000002), -10**12)
+    with pytest.raises(InputError):
+        _wall_stream(4, 1, 0).__next__()
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suitability_holds_only_the_witnesses():
+    # 1,191 walls, of which 150 are witnesses of h: those with 4*x + 50*y + 2500*x <= 0
+    ns, a, h = EllipticNS(4, 50), 20000, vec((1, 50))
+    assert peak_bytes(lambda: suitability_for(ns, a, h)) < peak_bytes(
+        lambda: enumerate_wall_classes(ns, a)
+    ) / 2
