@@ -129,10 +129,27 @@ def top_power_closed_form(rng):
     return True
 
 
+def _walked_matchings_sum(q_values, classes) -> int | Fraction:
+    """The slow path of fujiki.matchings_sum: the explicit sum over every perfect matching."""
+    total = 0
+    for matching in fujiki.perfect_matchings(len(classes)):
+        term = 1
+        for i, j in matching:
+            term *= q_values(classes[i], classes[j])
+        total += term
+    return total
+
+
 def matchings_sum_permutation_invariant(rng):
+    """The top intersection does not read the order of its classes, and the multiplicity
+    recursion of matchings_sum equals the matching walk, on distinct and repeated classes."""
     lat = lattice(((4, 1), (1, 0)))
     setup = fujiki.FujikiSetup(n=2, c_x=Fraction(3), pairing=lat)
     classes = [vec((1, 0)), vec((0, 1)), vec((1, -1)), vec((2, 3))]
+    h, f, lam = classes[:3]
+    for sample in (classes, [h, h, f, f], [lam, h, h, h], [h, f, h, lam, f, h]):
+        if fujiki.matchings_sum(setup.q, sample) != _walked_matchings_sum(setup.q, sample):
+            return False, {"classes": [c.to_json_dict() for c in sample]}
     base = fujiki.top_intersection(setup, classes)
     for _ in range(10):
         rng.shuffle(classes)

@@ -172,27 +172,31 @@ def cmd_mukai(args) -> int:
 def cmd_walls(args) -> int:
     from .walls import (
         EllipticNS,
-        enumerate_wall_classes,
+        _perpendicular,
+        _wall_fields,
+        _wall_stream,
         is_suitable,
         min_negative_norm,
         suitability_for,
-        wall_ray,
     )
 
     if args.h is not None and not args.suitability:
         raise InputError("--h is read only with --suitability")
     ns = EllipticNS(args.e, args.d)
     a = to_rational(args.a)
-    found = enumerate_wall_classes(ns, a)
+    e, d = ns.e, ns.d
+    found = []
+    for x, y in _wall_stream(e, d, a):  # each printed wall straight from its integer row
+        norm, pair_h, pair_f = _wall_fields(e, d, x, y)
+        found.append({"lambda": [x, y], "norm": norm, "pair_h": pair_h, "pair_f": pair_f,
+                      "ray": list(_perpendicular(e, d, x, y))})
     min_norm = min_negative_norm(ns) if ns.e >= 0 else None
     payload = {
         "e": ns.e,
         "d": ns.d,
         "a": a,
         "count": len(found),
-        "walls": [
-            {**w.to_json_dict(), "ray": wall_ray(ns, w).to_json_dict()} for w in found
-        ],
+        "walls": found,
         "min_negative_norm": min_norm,
         "has_minus_two_class": None if min_norm is None else min_norm == 2,
     }

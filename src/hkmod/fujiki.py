@@ -2,9 +2,10 @@
 
 The integral of a product of 2n degree-2 classes equals the normalized
 Fujiki constant times the sum, over all perfect matchings of the 2n
-slots, of the products of pairwise form values. Matchings are
-enumerated canonically (smallest unmatched index first) so each one is
-counted exactly once.
+slots, of the products of pairwise form values. matchings_sum computes
+it by a recursion on the multiplicities of the distinct classes;
+perfect_matchings enumerates the matchings canonically (smallest
+unmatched index first), each one exactly once, as the slow path.
 """
 
 from __future__ import annotations
@@ -105,19 +106,51 @@ def perfect_matchings(count: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def matchings_sum(q_values: Callable[..., int | Fraction], classes: Sequence) -> int | Fraction:
-    """Sum over all perfect matchings of the product of pairwise form values."""
+    """Sum over all perfect matchings of the product of pairwise form values.
+
+    Equal classes are grouped into distinct classes b_j with counts m_j, and q_values is
+    called once per pair of distinct classes that a matching can hold. The sum is a recursion
+    on the tuple of counts left: the first b_j with a copy left is matched with each b_k,
+    k >= j, that has copies left, weighted by that count times q(b_j, b_k). It runs forward,
+    one level per matched pair, with equal states merged, so it holds at most prod(m_j + 1)
+    states and never recurses: about 4^n with 2n distinct classes, against the (2n-1)!!
+    matchings of perfect_matchings, which stays the slow path the self-checks compare with.
+    """
     items = list(classes)
     if len(items) % 2:
         raise InputError("matchings sum needs an even number of classes")
-    total = 0
-    for matching in perfect_matchings(len(items)):
-        prod = 1
-        for i, j in matching:
-            prod *= q_values(items[i], items[j])
-            if prod == 0:
-                break
-        total += prod
-    return total
+    distinct: list = []
+    counts: list[int] = []
+    for item in items:
+        if item in distinct:
+            counts[distinct.index(item)] += 1
+        else:
+            distinct.append(item)
+            counts.append(1)
+    size = len(distinct)
+    q = [  # q[j][k - j] = q(b_j, b_k) for k >= j; a class with one copy is never paired with itself
+        [q_values(distinct[j], distinct[k]) if k > j or counts[j] > 1 else 0
+         for k in range(j, size)]
+        for j in range(size)
+    ]
+    level = {tuple(counts): 1}
+    for _ in range(len(items) // 2):
+        following: dict = {}
+        for state, weight in level.items():
+            left = list(state)
+            j = 0
+            while not left[j]:
+                j += 1
+            left[j] -= 1
+            for k, value in enumerate(q[j], j):
+                copies = left[k]
+                if copies and value:
+                    left[k] = copies - 1
+                    key = tuple(left)
+                    following[key] = following.get(key, 0) + weight * copies * value
+                    left[k] = copies
+        level = following
+    return sum(level.values())
 
 
 def top_intersection(setup: FujikiSetup, classes: Sequence[LatVec]) -> Fraction:

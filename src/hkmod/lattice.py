@@ -62,7 +62,11 @@ class LatVec(Record):
 
 def vec(coords: Iterable) -> LatVec:
     """Build a LatVec from ints, Fractions, or 'p/q' strings; integral coordinates become ints."""
-    return LatVec(tuple(map(to_exact, coords)))
+    coords = tuple(coords)
+    for c in coords:
+        if type(c) is not int:  # nor is a bool: to_exact parses, or refuses, each coordinate
+            return LatVec(tuple(map(to_exact, coords)))
+    return LatVec(coords)
 
 
 def latvec_from_json(data, rank: int | None = None) -> LatVec:
@@ -119,11 +123,14 @@ def _check_len(L: IntLattice, v: LatVec):
 
 def pair(L: IntLattice, v: LatVec, w: LatVec) -> int | Fraction:
     """Evaluate the symmetric bilinear form v^T * gram * w: an int when both vectors are integral."""
-    _check_len(L, v)
-    _check_len(L, w)
+    vc, wc, rank = v.coords, w.coords, L.rank  # _check_len's two tests, inline on this hot path
+    if len(vc) != rank:
+        raise InputError(f"vector length {len(vc)} does not match lattice rank {rank}")
+    if len(wc) != rank:
+        raise InputError(f"vector length {len(wc)} does not match lattice rank {rank}")
     total = 0
-    for vi, row in zip(v.coords, L.gram):
-        total += vi * sum(map(mul, row, w.coords))
+    for vi, row in zip(vc, L.gram):
+        total += vi * sum(map(mul, row, wc))
     return total
 
 

@@ -109,23 +109,30 @@ def enumerate_wall_classes(ns: EllipticNS, a) -> list[WallClass]:
     ranges over the exact interval forced by -a <= x*(e*x + 2*d*y) < 0.
     Only the lower end reads the level; the upper end is an integer floor.
     """
-    return list(_wall_stream(ns.e, ns.d, a))
+    e, d = ns.e, ns.d
+    return [_wall(e, d, x, y) for x, y in _wall_stream(e, d, a)]
 
 
-def _wall_stream(e: int, d: int, a) -> Iterator[WallClass]:
-    """The wall classes of enumerate_wall_classes one at a time, in the same order."""
+def _wall_stream(e: int, d: int, a) -> Iterator[tuple[int, int]]:
+    """The integer rows (x, y) of the wall classes of enumerate_wall_classes, in the same order;
+    readers build a wall (_wall) only for the rows they keep."""
     a = _level(a)
     for x in range(1, floor(a) + 1):  # |q| >= x for any admissible y, so x is bounded by a
         lo = ceil((-a / x - e * x) / (2 * d))
         hi = (-1 - e * x) // (2 * d)
         for y in range(lo, hi + 1):
             if gcd(x, abs(y)) == 1:
-                yield _wall(e, d, x, y)
+                yield x, y
+
+
+def _wall_fields(e: int, d: int, x: int, y: int) -> tuple[int, int, int]:
+    """The norm and the pairings with h and f of the class x*h + y*f, as a wall stores them."""
+    return x * (e * x + 2 * d * y), e * x + d * y, d * x
 
 
 def _wall(e: int, d: int, x: int, y: int) -> WallClass:
-    """The class x*h + y*f with the norm and the pairings with h and f that a wall stores."""
-    return WallClass(vec((x, y)), norm=x * (e * x + 2 * d * y), pair_h=e * x + d * y, pair_f=d * x)
+    """The wall class x*h + y*f of an integer row."""
+    return WallClass(LatVec((x, y)), *_wall_fields(e, d, x, y))
 
 
 def orthogonal_wall(ns: EllipticNS, a, h: LatVec) -> WallClass | None:
@@ -152,15 +159,18 @@ def suitability_for(ns: EllipticNS, a, h: LatVec) -> SuitabilityReport:
 
     Every wall pairs positively with f (pair_f = d*x > 0), so h is
     suitable iff each wall pairs positively with h too; the witnesses
-    are the walls with lam.h = h1*pair_h + h2*pair_f <= 0, read from the
-    fields each wall stores as the walls stream past, so only the witnesses
-    are held. Generic means no wall is orthogonal to h, which
-    orthogonal_wall decides without the enumeration.
+    are the walls with lam.h = h1*(e*x + d*y) + h2*d*x <= 0, tested on the
+    integer rows as they stream past, so a wall is built and held only for a
+    witness. Generic means no wall is orthogonal to h, which orthogonal_wall
+    decides without the enumeration.
     """
     generic = orthogonal_wall(ns, a, h) is None
+    e, d = ns.e, ns.d
     h1, h2 = h.coords
     witnesses = tuple(
-        wall for wall in _wall_stream(ns.e, ns.d, a) if h1 * wall.pair_h + h2 * wall.pair_f <= 0
+        _wall(e, d, x, y)
+        for x, y in _wall_stream(e, d, a)
+        if h1 * (e * x + d * y) + h2 * d * x <= 0
     )
     return SuitabilityReport(suitable=not witnesses, generic=generic, witnesses=witnesses)
 

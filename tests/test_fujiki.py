@@ -1,8 +1,13 @@
+import json
+import time
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hkmod.checks import _walked_matchings_sum
 from hkmod.errors import InputError
 from hkmod.fujiki import (
     FujikiSetup,
@@ -17,7 +22,7 @@ from hkmod.fujiki import (
     propsemi_bound_check,
     top_intersection,
 )
-from hkmod.lattice import lattice, vec
+from hkmod.lattice import lattice, pair, vec
 
 ELL6 = lattice(((6, 1), (1, 0)))
 
@@ -206,3 +211,60 @@ def test_rational_arguments_accept_ints_and_strings():
     assert FujikiSetup(n=2, c_x="3/2", pairing=ELL6).c_x == Fraction(3, 2)
     assert modular_delta_integral(SETUP, "30", [vec((1, 0))] * 2) == 180
     assert propsemi_bound_check(SETUP, 2, "30", "-1/2")
+
+
+COORDS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.lists(st.tuples(COORDS, COORDS), min_size=3, max_size=4, unique=True),
+    st.data(),
+)
+def test_matchings_sum_is_the_matching_walk(entries, pool, data):
+    # a pool of 3-4 classes, so repeats are common; zero classes, zero and Fraction pairings
+    a, b, c = entries
+    lat = lattice(((a, b), (b, c)))
+    pool = [vec(p) for p in pool]
+    count = data.draw(st.sampled_from([0, 2, 4, 6, 8]))
+    classes = data.draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    q = partial(pair, lat)
+    want = _walked_matchings_sum(q, classes)
+    assert matchings_sum(q, classes) == want
+    assert matchings_sum(q, data.draw(st.permutations(classes))) == want
+
+
+def test_matchings_sum_calls_q_once_per_pair_of_distinct_classes():
+    h, f, lam = vec((1, 0)), vec((0, 1)), vec((2, -1))
+    calls = []
+
+    def q(v, w):
+        calls.append((v, w))
+        return pair(ELL6, v, w)
+
+    classes = [h, h, f, lam, f, h]
+    assert matchings_sum(q, classes) == _walked_matchings_sum(partial(pair, ELL6), classes)
+    assert calls == [(h, h), (h, f), (h, lam), (f, f), (f, lam)]  # lam appears once: no (lam, lam)
+
+
+def test_matchings_sum_of_many_copies_does_not_recurse():
+    h = vec((1, 0))
+    assert matchings_sum(SETUP.q, [h] * 2000) == double_factorial(1999) * 6**1000
+
+
+TESTS = Path(__file__).parent
+
+
+def test_fourteen_distinct_classes_take_well_under_a_second():
+    # n = 7 with 14 distinct classes of a tridiagonal Gram matrix: `hkmod fujiki` walking the
+    # (2n-1)!! = 135,135 matchings took 20 s; the value is the console contract's golden
+    setup_data = json.loads((TESTS / "fujiki_distinct_setup.json").read_text())
+    classes = [vec(c) for c in json.loads((TESTS / "fujiki_distinct_classes.json").read_text())]
+    setup = FujikiSetup.for_kind(setup_data["kind"], lattice(setup_data["gram"]))
+    assert len({c.coords for c in classes}) == 14
+    start = time.perf_counter()
+    value = top_intersection(setup, classes)
+    assert time.perf_counter() - start < 1
+    golden = json.loads((TESTS / "golden" / "fujiki_distinct.json").read_text())
+    assert value == golden["value"] == -7997145122771

@@ -160,6 +160,20 @@ def ignoring(rep, reason):
     return changed(rep, ok=not reasons, reasons=reasons)
 
 
+def matchings_sum_once_per_partner(q_values, classes):
+    """matchings_sum with the multiplicities dropped: the first class is matched with each
+    distinct class left once, however many copies of it are left. Right on distinct classes."""
+    if not classes:
+        return 1
+    first, rest = classes[0], list(classes[1:])
+    total = 0
+    for partner in dict.fromkeys(rest):
+        left = list(rest)
+        left.remove(partner)
+        total += q_values(first, partner) * matchings_sum_once_per_partner(q_values, left)
+    return total
+
+
 # (module the checks call the routine through, routine, wrong version, suite, check).
 # The library computes these answers without re-proving them; each mutation
 # gives one of them a wrong answer that only the named verify-all check sees.
@@ -424,6 +438,11 @@ MUTATIONS = {
     "top_intersection_reads_the_order": (
         fujiki, "top_intersection",
         lambda f: lambda setup, classes: f(setup, classes) + classes[0].coords[0],
+        "fujiki", "matchings_sum_permutation_invariant",
+    ),
+    "matchings_sum_drops_multiplicity": (
+        fujiki, "matchings_sum",
+        lambda f: matchings_sum_once_per_partner,
         "fujiki", "matchings_sum_permutation_invariant",
     ),
     "modular_integral_off_by_one": (

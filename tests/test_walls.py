@@ -20,6 +20,7 @@ from hkmod.walls import (
     orthogonal_wall,
     suitability_for,
     wall_ray,
+    _wall,
     _wall_stream,
 )
 
@@ -333,11 +334,31 @@ def test_two_sign_oracle_does_not_read_the_enumeration(monkeypatch):
 
 
 def test_wall_stream_is_lazy():
-    # the rows of this level hold more walls than memory does; the first wall is at x = 1
-    first = next(_wall_stream(4, 1, 10**12))
-    assert (first.lam.int_coords(), first.norm) == ((1, -500000000002), -10**12)
+    # the rows of this level hold more walls than memory does; the first row is at x = 1
+    assert next(_wall_stream(4, 1, 10**12)) == (1, -500000000002)
+    assert _wall(4, 1, 1, -500000000002).norm == -10**12
     with pytest.raises(InputError):
         _wall_stream(4, 1, 0).__next__()
+
+
+@pytest.mark.parametrize("e, d, a, h", [
+    (4, 50, 20000, (1, 50)),  # 1,191 walls, 150 of them witnesses
+    (4, 50, 20000, (1, 0)),  # 596 witnesses of h itself, which is not generic
+    (2, 3, 6, ("1/2", "-1/8")),  # both walls are witnesses
+    (6, 7, 40, (1, 9)),  # suitable: none of the 7 walls is a witness
+])
+def test_suitability_builds_a_wall_only_for_a_witness(monkeypatch, e, d, a, h):
+    ns, h = EllipticNS(e, d), vec(h)
+    want = suitability_for(ns, a, h)
+    built = []
+
+    def counted(*row):
+        built.append(row)
+        return _wall(*row)
+
+    monkeypatch.setattr("hkmod.walls._wall", counted)
+    assert suitability_for(ns, a, h) == want
+    assert len(built) == len(want.witnesses) + 1  # and orthogonal_wall's one
 
 
 def peak_bytes(call):
