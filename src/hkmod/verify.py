@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from .errors import InputError
 from .record import Record, setfield
-from .report import Check, TheoremReport
+
+# Check and TheoremReport are imported where a run builds them, so that importing the runner
+# (as hkmod.cli does in every process) does not load hkmod.report.
 
 _SEED = 20240817
 
@@ -44,6 +46,8 @@ def _check(suite: str, fn) -> Check:
     """
     from random import Random  # only a run of the checks needs it
 
+    from .report import Check
+
     try:
         out = fn(Random(f"{_SEED}:{suite}.{fn.__name__}"))
     except Exception as exc:
@@ -55,6 +59,7 @@ def _check(suite: str, fn) -> Check:
 def verify_all(name_filter: str | None = None) -> VerifySummary:
     """Run every registered suite (or those whose name contains the filter)."""
     from .checks import SUITES
+    from .report import TheoremReport
 
     names = sorted(SUITES)
     if name_filter is not None:

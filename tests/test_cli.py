@@ -664,46 +664,51 @@ def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
     assert package == ["hkmod", "hkmod.errors", "hkmod.jsonio", "hkmod.lattice", "hkmod.record"]
     # perfbench/run.py:218 (cli_costs) reads hkmod.verify's import time from `import hkmod.cli`
     assert "hkmod.verify" in cli
-    assert cli == ["hkmod.cli", "hkmod.report", "hkmod.verify"]
-    assert code == 0 and walls == ["hkmod.walls"]
+    assert cli == ["hkmod.cli", "hkmod.verify"]  # no handler, and no hkmod.report
+    assert code == 0 and walls == ["hkmod._commands", "hkmod._commands.walls", "hkmod.walls"]
     assert std == []
 
 
-# argv (file names are keys of the files fixture), exit code, and the modules the subcommand
-# loads beyond those of `import hkmod.cli`
+# argv (file names are keys of the files fixture), exit code, the hkmod._commands module of
+# its handler (None for verify-all, whose handler is in hkmod.cli, and for a usage error), and
+# the library modules the subcommand loads beyond those of `import hkmod.cli`
 FOOTPRINTS = [
-    (["fujiki", "--setup", "fujiki_setup", "--classes", "fujiki_classes"], 0, ["fujiki"]),
-    (["mukai", "--ns", "ns", "--v", "v"], 0, ["mukai", "walls"]),
-    (["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability"], 1, ["walls"]),
-    (["reduce", "--ns", "ns", "--v", "v3", "--steps", "steps"], 0,
+    (["fujiki", "--setup", "fujiki_setup", "--classes", "fujiki_classes"], 0, "fujiki",
+     ["fujiki"]),
+    (["mukai", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai", "walls"]),
+    (["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability"], 1, "walls", ["walls"]),
+    (["reduce", "--ns", "ns", "--v", "v3", "--steps", "steps"], 0, "mukai",
      ["mukai", "reduction", "walls"]),
-    (["rigid", "--ns", "ns", "--v", "v"], 0, ["mukai", "reduction", "walls"]),
-    (["nl", "--kind", "hk", "--e", "3", "--d", "74", "--i", "1"], 0, ["nl"]),
-    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, ["nl"]),
-    (["nl", "--kind", "k3", "--e", "4", "--d", "51", "--r0", "2", "--vsq", "0"], 0,
+    (["rigid", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai", "reduction", "walls"]),
+    (["nl", "--kind", "hk", "--e", "3", "--d", "74", "--i", "1"], 0, "nl", ["nl"]),
+    (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, "nl", ["nl"]),
+    (["nl", "--kind", "k3", "--e", "4", "--d", "51", "--r0", "2", "--vsq", "0"], 0, "nl",
      ["mukai", "nl"]),
-    (["nl-search", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
-    (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, ["hilb2", "nl"]),
-    (["vbk3ell", "--scenario", "scenario_vb"], 0, ["mukai", "pipelines", "walls"]),
-    (["casoprim", "--scenario", "scenario_cp"], 0, ["mukai", "pipelines", "walls"]),
-    (["sweep-econ", "--r0max", "2", "--emax", "20"], 0, ["hilb2", "nl"]),
-    (["verify-all", "--filter", "lattice"], 0,
-     ["checks", "fujiki", "hilb2", "mukai", "nl", "pipelines", "reduction", "walls"]),
-    (["walls", "--e", "two", "--d", "3", "--a", "6"], 2, []),
+    (["nl-search", "--r0", "2", "--e", "6"], 0, "search", ["hilb2", "nl", "report"]),
+    (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, "search", ["hilb2", "nl", "report"]),
+    (["vbk3ell", "--scenario", "scenario_vb"], 0, "scenario",
+     ["mukai", "pipelines", "report", "walls"]),
+    (["casoprim", "--scenario", "scenario_cp"], 0, "scenario",
+     ["mukai", "pipelines", "report", "walls"]),
+    (["sweep-econ", "--r0max", "2", "--emax", "20"], 0, "sweep_econ", ["hilb2", "nl", "report"]),
+    (["verify-all", "--filter", "lattice"], 0, None,
+     ["checks", "fujiki", "hilb2", "mukai", "nl", "pipelines", "reduction", "report", "walls"]),
+    (["walls", "--e", "two", "--d", "3", "--a", "6"], 2, None, []),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, extra", FOOTPRINTS, ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS]
+    "argv, code, handler, extra", FOOTPRINTS, ids=[" ".join(argv) for argv, *_ in FOOTPRINTS]
 )
-def test_each_subcommand_loads_only_the_modules_it_runs(files, argv, code, extra):
+def test_each_subcommand_loads_only_the_modules_it_runs(files, argv, code, handler, extra):
     proc = run_child("-c", IMPORT_FOOTPRINT, *(files.get(a, a) for a in argv))
     assert proc.returncode == 0, proc.stderr
     package, cli, got_code, command, std = json.loads(proc.stdout)
     base = {m.removeprefix("hkmod.") for m in package + cli}
-    assert base == {"hkmod", "cli", "errors", "jsonio", "lattice", "record", "report", "verify"}
+    assert base == {"hkmod", "cli", "errors", "jsonio", "lattice", "record", "verify"}
     assert got_code == code
-    assert command == [f"hkmod.{m}" for m in extra]
+    handlers = [] if handler is None else ["_commands", f"_commands.{handler}"]
+    assert command == sorted(f"hkmod.{m}" for m in handlers + extra)  # no other handler
     assert std == []
 
 

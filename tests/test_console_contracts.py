@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hkmod
+from hkmod.cli import COMMANDS
 import run_contracts  # tests/ is on sys.path as this module's directory
 
 CONTRACTS = run_contracts.load()
@@ -34,6 +35,21 @@ def test_the_runner_reports_a_broken_contract():
         "stdout differs from tests/golden/sweep_econ.txt"
     )
     assert run_contracts.check(MODULE, (UNICITA, 0, None, 0.001)) == "still running after 0.001 s"
+    assert run_contracts.check(MODULE, (UNICITA, 0, b"", None)) == (
+        "stdout differs from the recorded answer"
+    )
+
+
+def test_the_first_pool_answer_of_each_subcommand_holds_in_a_fresh_process(tmp_path):
+    # the runner checks all 103 pool answers; here the first one of each subcommand
+    answers = run_contracts.pool(tmp_path)
+    assert len(answers) == 103
+    first = {}
+    for contract in answers:
+        first.setdefault(contract[0][0], contract)
+    assert set(COMMANDS) <= set(first)
+    problems = {name: run_contracts.check(MODULE, c) for name, c in first.items()}
+    assert problems == dict.fromkeys(first)
 
 
 def test_contract_lines_parse(tmp_path):
