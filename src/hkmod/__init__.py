@@ -20,15 +20,15 @@ _NAMES = {
                "double_factorial", "fiber_restriction_integral", "fujiki_constant",
                "matchings_sum", "modular_delta_integral", "parse_kind", "perfect_matchings",
                "propsemi_bound_check", "top_intersection"),
-    "hilb2": ("F2Invariants", "McKaySquare", "ambient_divisibility", "divisibility_type",
-              "f2_invariants", "governing_divisibility", "h_polarization", "hilb2_ns", "m0_s0",
-              "mckay_ext_dims", "potenza_solve", "resemibis_ranks", "restrango_check",
-              "rosetta_check", "unicita_report"),
+    "hilb2": ("F2Invariants", "McKaySquare", "ambient_divisibility", "f2_invariants",
+              "h_polarization", "hilb2_ns", "mckay_ext_dims", "potenza_solve", "resemibis_ranks",
+              "restrango_check", "rosetta_check", "unicita_report"),
     "mukai": ("MukaiNumerics", "MukaiVector", "from_chern", "mukai_from_json", "mukai_pairing",
               "mukai_square", "normalize_twist", "numerics", "twist_by_mf"),
     "nl": ("DEFAULT_SEARCH_CAP", "Admissibility", "NefIsotropicClasses", "buonacompt_bound",
-           "buonacompt_min_d", "econ_check", "nef_isotropic_classes", "nl_hk_admissible",
-           "nl_k3_admissible", "propriostab_admissible", "rigsuk_bound", "rigsuk_min_d0"),
+           "buonacompt_min_d", "divisibility_type", "econ_check", "governing_divisibility",
+           "m0_s0", "nef_isotropic_classes", "nl_hk_admissible", "nl_k3_admissible",
+           "propriostab_admissible", "rigsuk_bound", "rigsuk_min_d0"),
     "pipelines": ("Scenario", "TwistResult", "casoprim_pipeline", "load_scenario",
                   "multacca_normalize", "run_scenario", "scenario_from_json", "vbk3ell_pipeline"),
     "reduction": ("AtiyahResult", "HomCountResult", "ModificationStep", "ReductionTrace",

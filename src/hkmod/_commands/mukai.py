@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from ..errors import InputError
 from ..jsonio import load_json_file, to_int
-from ..lattice import IntLattice, latvec_from_json, pair
+from ..lattice import IntLattice, latvec_from_json, ns_from_json, pair
 from ..mukai import mukai_from_json, mukai_pairing, mukai_square, numerics
-from ..walls import ns_from_json
 
 # reduce and rigid import hkmod.reduction themselves, so that mukai does not load it
 

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from ..hilb2 import governing_divisibility, m0_s0, unicita_report
 from ..nl import (
-    DEFAULT_SEARCH_CAP,
-    buonacompt_bound,
-    buonacompt_min_d,
-    rigsuk_bound,
-    rigsuk_min_d0,
+    DEFAULT_SEARCH_CAP, buonacompt_bound, buonacompt_min_d, governing_divisibility, m0_s0,
+    rigsuk_bound, rigsuk_min_d0,
 )
 
 
@@ -35,5 +31,7 @@ def cmd_nl_search(args) -> tuple[dict, int]:
 
 
 def cmd_unicita(args) -> tuple[dict, int]:
+    from ..hilb2 import unicita_report  # here, so that nl-search does not load hkmod.hilb2
+
     report = unicita_report(args.i, args.r0, args.e, cap=_cap(args))
     return report.to_json_dict(), 0 if report.verdict else 1

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from ..errors import InputError
-from ..hilb2 import governing_divisibility, m0_s0
-from ..nl import _econ_residue
+from ..nl import _econ_residue, governing_divisibility, m0_s0
 
 
 def cmd_sweep_econ(args) -> tuple[dict, int]:

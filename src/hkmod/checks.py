@@ -560,18 +560,18 @@ def _brute_potenza(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
 def twist_numerics_integral_sweep(rng):
     count = 0
     for r0 in range(1, 9):
-        i = hilb2.governing_divisibility(r0)
+        i = nl.governing_divisibility(r0)
         for e in range(1, 401):
             # the class is where the '+' m0 = num/den and s0 = (m0 + 1)/r0 are integral, of type i
             num, den = (2 * e + (r0 - 1) ** 2, 4) if r0 % 2 else (e + 2 * (r0 - 1) ** 2, 8)
             integral = num % den == 0 and (num // den + 1) % r0 == 0
-            typed = not integral or hilb2.divisibility_type(e, i)
-            if hilb2.econ_check(r0, e) != integral or not typed:
+            typed = not integral or nl.divisibility_type(e, i)
+            if nl.econ_check(r0, e) != integral or not typed:
                 return False, {"r0": r0, "e": e, "integral": integral}
             if not integral:
                 continue
             for sign in ("+", "-"):
-                m0, s0 = hilb2.m0_s0(r0, e, sign)
+                m0, s0 = nl.m0_s0(r0, e, sign)
                 shift = r0 - 1 if sign == "+" else r0 + 1
                 want = (4 * e if r0 % 2 else e) + 2 * shift * shift  # 8 * (e/2 or e/8 + shift^2/4)
                 h = hilb2.h_polarization(r0, i, sign)
@@ -604,7 +604,7 @@ def _rosetta_from_parts(r0: int, i: int, e: int, d0: int) -> TheoremReport:
         Check("q_f_zero", True, {"q_f": 0}),
         Check("h_f_saturated", True, {"h": h.to_json_dict(), "f": f.to_json_dict()}),
     )
-    data = {"r0": r0, "i": i, "e": e, "d0": d0, "d": i * d0, "m0": hilb2.m0_s0(r0, e)[0]}
+    data = {"r0": r0, "i": i, "e": e, "d0": d0, "d": i * d0, "m0": nl.m0_s0(r0, e)[0]}
     return TheoremReport("rosetta", checks, data)
 
 
@@ -612,7 +612,7 @@ def _unicita_from_parts(i: int, r0: int, e: int) -> TheoremReport:
     """The report unicita_report owes (i, r0, e) when its chain holds up to the fiber degree
     search, built from the routines the links call: an empty search ends it, a found degree
     adds the link of _rosetta_from_parts there."""
-    m0, s0 = hilb2.m0_s0(r0, e)
+    m0, s0 = nl.m0_s0(r0, e)
     invariants = {**hilb2.f2_invariants(r0).to_json_dict(), "c1_coeff": r0 // i,
                   "hypothesis": "chi(End F) = 2"}
     checks = (
@@ -644,7 +644,7 @@ def ambient_dictionary_sweep(rng):
     cases = list(product(range(1, 6), (1, 7, 211)))  # (r0, d0) at the first degree of each class
     for r0, d0 in cases:
         c, step = nl._econ_residue(r0)
-        e, i = c or step, hilb2.governing_divisibility(r0)
+        e, i = c or step, nl.governing_divisibility(r0)
         if hilb2.rosetta_check(r0, i, e, d0) != _rosetta_from_parts(r0, i, e, d0):
             return False, {"r0": r0, "e": e, "d0": d0, "report": "rosetta"}
         if hilb2.unicita_report(i, r0, e) != _unicita_from_parts(i, r0, e):
@@ -717,7 +717,7 @@ def descent_rank_constraint(rng):
 
 def parity_of_governing_divisibility(rng):
     for r0 in range(1, 12):
-        if hilb2.governing_divisibility(r0) % 2 != r0 % 2:
+        if nl.governing_divisibility(r0) % 2 != r0 % 2:
             return False, {"r0": r0}
     return True
 

@@ -3,7 +3,7 @@
 The ambient second cohomology is the K3 lattice plus an exceptional
 (-2)-class; we work in the rank-3 sublattice spanned by a degree-e
 polarization mu_D, a fiber class mu_C of h-degree d0, and half the
-exceptional divisor. The congruence conditions below pick out the
+exceptional divisor. The congruence conditions of hkmod.nl pick out the
 exterior-power sheaves whose slope-zero twists exist, and the check
 routines confirm the dictionary between surface data (r0, e, d0) and
 ambient data (h, f, divisibility i) identity by identity.
@@ -16,61 +16,16 @@ from math import comb, gcd
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
 from .jsonio import _check_int
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
-from .nl import (
-    DEFAULT_SEARCH_CAP,
-    buonacompt_bound,
-    buonacompt_min_d,
-    check_econ,
-    check_i,
-    check_parity,
-    check_r0,
-    econ_check,
-    rigsuk_bound,
-    rigsuk_min_d0,
+from .nl import (  # nl owns the (r0, e, i) degree arithmetic
+    DEFAULT_SEARCH_CAP, _shifted_r0, buonacompt_bound, buonacompt_min_d, check_econ, check_i,
+    check_parity, check_r0, divisibility_type, econ_check, governing_divisibility, m0_s0,
+    rigsuk_bound, rigsuk_min_d0,
 )
 from .record import Record, setfield
 from .report import Check, TheoremReport
 
-
-def divisibility_type(e: int, i: int) -> bool:
-    """Arithmetic constraint on the polarization degree for divisibility i:
-    e positive and even when i = 1, e positive and congruent to 6 mod 8
-    when i = 2."""
-    check_i(i)
-    _check_int(e, "e")
-    if i == 1:
-        return e > 0 and e % 2 == 0
-    return e > 0 and e % 8 == 6
-
-
-def governing_divisibility(r0: int) -> int:
-    """Divisibility forced by the rank parity: 1 for odd r0, 2 for even."""
-    check_r0(r0)
-    return 1 if r0 % 2 else 2
-
-
-def _shifted_r0(r0: int, sign: str) -> int:
-    """r0 - 1 for the '+' twist, r0 + 1 for the '-' twist."""
-    if sign not in ("+", "-"):
-        raise InputError(f"sign must be '+' or '-', got {sign!r}")
-    check_r0(r0)
-    return r0 - 1 if sign == "+" else r0 + 1
-
-
-def m0_s0(r0: int, e: int, sign: str = "+") -> tuple[int, int]:
-    """Twist degree m0 and slope s0 = (m0+1)/r0 of the distinguished sheaf.
-
-    m0 = e/2 + (r0 -+ 1)^2/4 for odd r0 and e/8 + (r0 -+ 1)^2/4 for even
-    r0. The congruence conditions make both divisions exact; the
-    verify-all check hilb2.twist_numerics_integral_sweep proves it.
-    """
-    shift = _shifted_r0(r0, sign)
-    i = governing_divisibility(r0)
-    if not divisibility_type(e, i):
-        raise MathCheckError(f"e = {e} is not a valid degree for divisibility {i}")
-    check_econ(r0, e)
-    m0 = (2 * e + shift**2) // 4 if r0 % 2 else (e + 2 * shift**2) // 8
-    return m0, (m0 + 1) // r0
+# bound here before nl took the degree arithmetic, so hilb2.<name> resolves; unused here
+_REEXPORTS = (MathCheckError, check_econ, governing_divisibility)
 
 
 class F2Invariants(Record):

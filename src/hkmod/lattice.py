@@ -14,7 +14,7 @@ from math import gcd
 from operator import mul
 
 from .errors import InputError
-from .jsonio import _shown, to_exact, to_int
+from .jsonio import _check_int, _shown, to_exact, to_int
 from .record import Record, setfield
 
 
@@ -111,9 +111,30 @@ def lattice_from_json(data) -> IntLattice:
     if not isinstance(data, dict) or "gram" not in data:
         raise InputError("lattice JSON must be an object with a 'gram' matrix")
     lat = lattice(data["gram"])
-    if "rank" in data and to_int(data["rank"], "rank") != lat.rank:
-        raise InputError(f"declared rank {data['rank']} does not match gram size {lat.rank}")
+    rank = to_int(data.get("rank", lat.rank), "rank")
+    if rank != lat.rank:  # echo the parsed rank, never the raw value (it may be huge)
+        raise InputError(f"declared rank {_shown(rank)} does not match gram size {lat.rank}")
     return lat
+
+
+def _check_elliptic(e: int, d: int) -> None:
+    """The one gate of the elliptic lattice [[e, d], [d, 0]]: integer e and d, and d > 0."""
+    _check_int(e, "e")
+    _check_int(d, "d")
+    if d <= 0:
+        raise InputError(f"fiber degree d must be positive, got {d}")
+
+
+def ns_from_json(data) -> IntLattice:
+    """A lattice from a {"gram": ...} object or from the elliptic shorthand {"e": e, "d": d},
+    which stands for [[e, d], [d, 0]]."""
+    if isinstance(data, dict) and "gram" in data:
+        return lattice_from_json(data)
+    if not (isinstance(data, dict) and "e" in data and "d" in data):
+        raise InputError("an elliptic lattice is a JSON object with keys e and d")
+    e, d = to_int(data["e"], "e"), to_int(data["d"], "d")
+    _check_elliptic(e, d)
+    return lattice(((e, d), (d, 0)))
 
 
 def _check_len(L: IntLattice, v: LatVec):

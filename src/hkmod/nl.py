@@ -4,6 +4,9 @@ Each predicate packages the arithmetic conditions under which the
 lattice admits a unique nef isotropic ray and no walls in the relevant
 range; the search routines return the minimal parameter meeting them,
 prove the search empty, or stop at an explicit cap.
+
+It also owns the (r0, e, i) degree arithmetic: the degrees e that a rank
+r0 and a divisibility i admit, and the twist (m0, s0) they give.
 """
 
 from __future__ import annotations
@@ -61,6 +64,47 @@ def econ_check(r0: int, e: int) -> bool:
 def check_econ(r0: int, e: int) -> None:
     if not econ_check(r0, e):
         raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
+
+
+def divisibility_type(e: int, i: int) -> bool:
+    """Arithmetic constraint on the polarization degree for divisibility i:
+    e positive and even when i = 1, e positive and congruent to 6 mod 8
+    when i = 2."""
+    check_i(i)
+    _check_int(e, "e")
+    if i == 1:
+        return e > 0 and e % 2 == 0
+    return e > 0 and e % 8 == 6
+
+
+def governing_divisibility(r0: int) -> int:
+    """Divisibility forced by the rank parity: 1 for odd r0, 2 for even."""
+    check_r0(r0)
+    return 1 if r0 % 2 else 2
+
+
+def _shifted_r0(r0: int, sign: str) -> int:
+    """r0 - 1 for the '+' twist, r0 + 1 for the '-' twist."""
+    if sign not in ("+", "-"):
+        raise InputError(f"sign must be '+' or '-', got {sign!r}")
+    check_r0(r0)
+    return r0 - 1 if sign == "+" else r0 + 1
+
+
+def m0_s0(r0: int, e: int, sign: str = "+") -> tuple[int, int]:
+    """Twist degree m0 and slope s0 = (m0+1)/r0 of the distinguished sheaf.
+
+    m0 = e/2 + (r0 -+ 1)^2/4 for odd r0 and e/8 + (r0 -+ 1)^2/4 for even
+    r0. The congruence conditions make both divisions exact; the
+    verify-all check hilb2.twist_numerics_integral_sweep proves it.
+    """
+    shift = _shifted_r0(r0, sign)
+    i = governing_divisibility(r0)
+    if not divisibility_type(e, i):
+        raise MathCheckError(f"e = {e} is not a valid degree for divisibility {i}")
+    check_econ(r0, e)
+    m0 = (2 * e + shift**2) // 4 if r0 % 2 else (e + 2 * shift**2) // 8
+    return m0, (m0 + 1) // r0
 
 
 class NefIsotropicClasses(Record):

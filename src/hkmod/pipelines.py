@@ -17,6 +17,7 @@ from .lattice import (
     LatVec,
     content,
     latvec_from_json,
+    ns_from_json,
     pair,
     primitive_part,
 )
@@ -27,7 +28,6 @@ from .walls import (
     SuitabilityReport,
     _polarization,
     as_elliptic,
-    ns_from_json,
     orthogonal_wall,
     suitability_for,
 )

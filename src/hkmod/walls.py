@@ -15,8 +15,8 @@ from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm
 
 from .errors import InputError
-from .jsonio import _check_int, _level, to_int
-from .lattice import IntLattice, LatVec, lattice, lattice_from_json, pair, vec
+from .jsonio import _check_int, _level
+from .lattice import IntLattice, LatVec, _check_elliptic, lattice, pair, vec
 from .record import Record, setfield
 
 
@@ -24,10 +24,7 @@ class EllipticNS(Record):
     """Rank-2 lattice [[e, d], [d, 0]] with distinguished basis (h, f)."""
 
     def __init__(self, e: int, d: int):
-        _check_int(e, "e")
-        _check_int(d, "d")
-        if d <= 0:
-            raise InputError(f"fiber degree d must be positive, got {d}")
+        _check_elliptic(e, d)
         setfield(self, "e", e)
         setfield(self, "d", d)
 
@@ -45,19 +42,6 @@ class EllipticNS(Record):
 
     def q(self, v: LatVec, w: LatVec | None = None) -> int | Fraction:
         return pair(self.lattice, v, w if w is not None else v)
-
-
-def elliptic_from_json(data) -> EllipticNS:
-    if isinstance(data, dict) and "e" in data and "d" in data:
-        return EllipticNS(to_int(data["e"], "e"), to_int(data["d"], "d"))
-    raise InputError("an elliptic lattice is a JSON object with keys e and d")
-
-
-def ns_from_json(data) -> IntLattice:
-    """A lattice from a {"gram": ...} object or from the elliptic {e, d} shorthand."""
-    if isinstance(data, dict) and "gram" in data:
-        return lattice_from_json(data)
-    return elliptic_from_json(data).lattice
 
 
 def as_elliptic(ns) -> EllipticNS:

@@ -15,7 +15,7 @@ import hkmod
 import hkmod.checks
 from hkmod.__main__ import run as run_process
 from hkmod.cli import COMMANDS, build_parser, main
-from hkmod.hilb2 import divisibility_type, econ_check, governing_divisibility, m0_s0
+from hkmod.nl import divisibility_type, econ_check, governing_divisibility, m0_s0
 
 
 @pytest.fixture()
@@ -468,7 +468,8 @@ def test_verify_all(capsys):
     assert code == 2 and "error:" in err
 
 
-GOLDEN = Path(__file__).parent / "golden"
+TESTS = Path(__file__).parent
+GOLDEN = TESTS / "golden"
 
 
 @pytest.mark.parametrize(
@@ -496,6 +497,14 @@ def test_verify_all_output_is_frozen(capsys, argv, golden):
         (["vbk3ell", "--scenario", "scenario_vb"], 0, "vbk3ell.txt"),
         (["casoprim", "--scenario", "scenario_cp"], 0, "casoprim.txt"),
         (["sweep-econ", "--r0max", "8", "--emax", "200"], 0, "sweep_econ.txt"),
+        # the {e, d} shorthand and the {gram} matrix it stands for give the same answer
+        (["mukai", "--ns", str(TESTS / "mukai_ns.json"), "--v", str(TESTS / "mukai_v.json")], 0,
+         "mukai.txt"),
+        (["mukai", "--ns", str(TESTS / "mukai_ns_gram.json"), "--v", str(TESTS / "mukai_v.json")],
+         0, "mukai.txt"),
+        (["mukai", "--ns", str(TESTS / "mukai_ns_gram.json"), "--v", str(TESTS / "mukai_v.json"),
+          "--w", str(TESTS / "mukai_w.json")], 0, "mukai_w.txt"),
+        (["nl-search", "--r0", "2", "--e", "6"], 0, "nl_search.txt"),
     ],
 )
 def test_human_output_is_frozen(capsys, files, argv, code, golden):
@@ -675,22 +684,22 @@ def test_cli_import_leaves_dataclasses_and_datetime_unloaded():
 FOOTPRINTS = [
     (["fujiki", "--setup", "fujiki_setup", "--classes", "fujiki_classes"], 0, "fujiki",
      ["fujiki"]),
-    (["mukai", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai", "walls"]),
+    (["mukai", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai"]),
     (["walls", "--e", "4", "--d", "1", "--a", "12", "--suitability"], 1, "walls", ["walls"]),
     (["reduce", "--ns", "ns", "--v", "v3", "--steps", "steps"], 0, "mukai",
-     ["mukai", "reduction", "walls"]),
-    (["rigid", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai", "reduction", "walls"]),
+     ["mukai", "reduction"]),
+    (["rigid", "--ns", "ns", "--v", "v"], 0, "mukai", ["mukai", "reduction"]),
     (["nl", "--kind", "hk", "--e", "3", "--d", "74", "--i", "1"], 0, "nl", ["nl"]),
     (["nl", "--kind", "hk", "--e", "6", "--d", "74", "--i", "2"], 0, "nl", ["nl"]),
     (["nl", "--kind", "k3", "--e", "4", "--d", "51", "--r0", "2", "--vsq", "0"], 0, "nl",
      ["mukai", "nl"]),
-    (["nl-search", "--r0", "2", "--e", "6"], 0, "search", ["hilb2", "nl", "report"]),
+    (["nl-search", "--r0", "2", "--e", "6"], 0, "search", ["nl"]),
     (["unicita", "--i", "2", "--r0", "2", "--e", "6"], 0, "search", ["hilb2", "nl", "report"]),
     (["vbk3ell", "--scenario", "scenario_vb"], 0, "scenario",
      ["mukai", "pipelines", "report", "walls"]),
     (["casoprim", "--scenario", "scenario_cp"], 0, "scenario",
      ["mukai", "pipelines", "report", "walls"]),
-    (["sweep-econ", "--r0max", "2", "--emax", "20"], 0, "sweep_econ", ["hilb2", "nl", "report"]),
+    (["sweep-econ", "--r0max", "2", "--emax", "20"], 0, "sweep_econ", ["nl"]),
     (["verify-all", "--filter", "lattice"], 0, None,
      ["checks", "fujiki", "hilb2", "mukai", "nl", "pipelines", "reduction", "report", "walls"]),
     (["walls", "--e", "two", "--d", "3", "--a", "6"], 2, None, []),
@@ -910,3 +919,56 @@ def test_a_long_value_is_echoed_cut(files, tmp_path):
     assert proc.stderr.startswith("error: cannot parse rational from [0, 1, 2, ")
     assert len(proc.stderr.encode()) < 1024
     assert "Traceback" not in proc.stderr
+
+
+def test_a_long_declared_rank_is_echoed_cut(tmp_path):
+    """A mismatched declared rank is echoed as the integer it parses to, not as the raw value.
+
+    A child process, so that the exit code and stderr are the ones a caller sees."""
+    path = tmp_path / "ns.json"
+    path.write_text(json.dumps({"gram": [[2, 1], [1, 0]], "rank": "3" + " " * 100_000}))
+    proc = run_child("-m", "hkmod", "mukai", "--ns", str(path), "--v", str(TESTS / "mukai_v.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: declared rank 3 does not match gram size 2\n"
+    assert len(proc.stderr.encode()) < 1024
+    assert "Traceback" not in proc.stderr
+
+
+# Bad --ns values and their refusals: every subcommand that reads a lattice file gives the same
+BAD_NS = [
+    ({"e": True, "d": 1}, "expected a rational, got boolean True"),
+    ({"e": 4, "d": False}, "expected a rational, got boolean False"),
+    ({"e": 4.0, "d": 1}, "cannot parse rational from 4.0 of type float"),
+    ({"e": 4, "d": 1.5}, "cannot parse rational from 1.5 of type float"),
+    ({"e": "7/2", "d": 1}, "e must be an integer, got 7/2"),
+    ({"e": 4, "d": "3/2"}, "d must be an integer, got 3/2"),
+    ({"e": "x", "d": 1}, "cannot parse rational from 'x'"),
+    ({"e": 4, "d": 0}, "fiber degree d must be positive, got 0"),
+    ({"e": 4, "d": -2}, "fiber degree d must be positive, got -2"),
+    ({"e": 4}, "an elliptic lattice is a JSON object with keys e and d"),
+    ({"d": 1}, "an elliptic lattice is a JSON object with keys e and d"),
+    ([4, 1], "an elliptic lattice is a JSON object with keys e and d"),
+    ("ns", "an elliptic lattice is a JSON object with keys e and d"),
+    (None, "an elliptic lattice is a JSON object with keys e and d"),
+    ({"gram": [[4, 1], [1, 0]], "rank": "two"}, "cannot parse rational from 'two'"),
+    ({"gram": [[4, 1], [1, 0]], "rank": 2.5}, "cannot parse rational from 2.5 of type float"),
+    ({"gram": [[4, 1], [1, 0]], "rank": True}, "expected a rational, got boolean True"),
+    ({"gram": [[4, 1], [1, 0]], "rank": "3/2"}, "rank must be an integer, got 3/2"),
+    ({"gram": [[4, 1], [1, 0]], "rank": 3}, "declared rank 3 does not match gram size 2"),
+    ({"gram": [[4, 1], [1, 0]], "rank": "1"}, "declared rank 1 does not match gram size 2"),
+]
+
+
+@pytest.mark.parametrize("command", ["mukai", "reduce", "rigid", "vbk3ell"])
+@pytest.mark.parametrize("ns, err", BAD_NS, ids=[json.dumps(ns) for ns, _ in BAD_NS])
+def test_a_bad_ns_is_refused_alike_by_every_reader(capsys, files, tmp_path, command, ns, err):
+    path = tmp_path / "bad.json"
+    if command == "vbk3ell":
+        path.write_text(json.dumps({"pipeline": "vbk3ell", "lattices": {"ns": ns},
+                                    "vectors": {"v": {"r": 2, "l": [1, 0], "s": 0}}}))
+        argv = ["vbk3ell", "--scenario", str(path)]
+    else:
+        path.write_text(json.dumps(ns))
+        argv = [command, "--ns", str(path), "--v", files["v3" if command == "reduce" else "v"]]
+        argv += ["--steps", files["steps"]] if command == "reduce" else []
+    assert run(capsys, argv) == (2, "", f"error: {err}\n")

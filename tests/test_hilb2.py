@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkmod import checks
+from hkmod import checks, errors, hilb2, nl
 from hkmod.errors import InputError, MathCheckError
 from hkmod.hilb2 import (
     ambient_divisibility,
@@ -26,6 +26,15 @@ from hkmod.hilb2 import (
 )
 from hkmod.jsonio import canonical_json
 from hkmod.lattice import pair, vec
+
+
+def test_hilb2_binds_nls_degree_arithmetic():
+    # nl defines the (r0, e, i) degree arithmetic; hilb2 still binds each name it bound before
+    for name in ("divisibility_type", "governing_divisibility", "_shifted_r0", "m0_s0",
+                 "econ_check", "check_econ"):
+        assert getattr(hilb2, name) is getattr(nl, name)
+        assert getattr(nl, name).__module__ == "hkmod.nl"
+    assert hilb2.MathCheckError is errors.MathCheckError
 
 
 def test_divisibility_type():

@@ -12,6 +12,7 @@ from hkmod.lattice import (
     lattice_from_json,
     latvec_from_json,
     norm,
+    ns_from_json,
     pair,
     primitive_part,
     saturation_check,
@@ -77,6 +78,19 @@ def test_lattice_validation():
     assert lattice_from_json({"gram": [[2, 3], [3, 0]], "rank": 2}) == HYP
     with pytest.raises(InputError, match="declared rank 3"):
         lattice_from_json({"gram": [[2, 3], [3, 0]], "rank": 3})
+    # the refusal echoes the rank's integer, cut like any echoed value, not the raw text
+    for rank, shown in (("3" + " " * 100_000, "3"), ("9" * 4000, "9" * 200 + "...")):
+        with pytest.raises(InputError) as caught:
+            lattice_from_json({"gram": [[2, 3], [3, 0]], "rank": rank})
+        assert str(caught.value) == f"declared rank {shown} does not match gram size 2"
+
+
+def test_ns_reader_reads_both_forms():
+    assert ns_from_json({"e": 2, "d": 3}) == lattice(((2, 3), (3, 0))) == ns_from_json(
+        {"gram": [[2, 3], [3, 0]]}
+    )
+    assert ns_from_json({"e": "-4", "d": "6/2"}) == lattice(((-4, 3), (3, 0)))
+    assert ns_from_json({"gram": [[2]], "e": 4, "d": 1}) == lattice(((2,),))  # gram wins
 
 
 def test_equal_gram_matrices_give_equal_lattices():

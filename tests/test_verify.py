@@ -351,7 +351,7 @@ MUTATIONS = {
         "reduction", "coprime_fiber_bundle_cases",
     ),
     "m0_s0_off_by_one": (
-        hilb2, "m0_s0",
+        nl, "m0_s0",
         lambda f: lambda r0, e, sign="+": (f(r0, e, sign)[0] + 1, f(r0, e, sign)[1]),
         "hilb2", "twist_numerics_integral_sweep",
     ),
@@ -371,7 +371,7 @@ MUTATIONS = {
         "hilb2", "ambient_dictionary_sweep",
     ),
     "governing_divisibility_flipped": (
-        hilb2, "governing_divisibility",
+        nl, "governing_divisibility",
         lambda f: lambda r0: 3 - f(r0),
         "hilb2", "parity_of_governing_divisibility",
     ),
