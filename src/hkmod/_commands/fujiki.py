@@ -21,7 +21,8 @@ def cmd_fujiki(args) -> tuple[dict, int]:
     if "kind" in setup_data:
         setup = FujikiSetup.for_kind(setup_data["kind"], pairing)
         if n not in (None, setup.n):
-            raise InputError(f"kind {_shown(setup_data['kind'])} fixes n = {setup.n}, got n = {n}")
+            raise InputError(
+                f"kind {_shown(setup_data['kind'])} fixes n = {setup.n}, got n = {_shown(n)}")
     else:
         if n is None or "c_x" not in setup_data:
             raise InputError("setup needs 'kind' or both 'n' and 'c_x'")

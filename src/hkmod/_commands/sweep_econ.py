@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from ..errors import InputError
+from ..jsonio import _check_int
 from ..nl import _econ_residue, governing_divisibility, m0_s0
 
 
 def cmd_sweep_econ(args) -> tuple[dict, int]:
     """The payload's "rows" is an iterator, printed row by row as it is made."""
-    if args.r0max < 1 or args.emax < 1:
-        raise InputError("--r0max and --emax must be positive")
+    _check_int(args.r0max, "--r0max", 1)
+    _check_int(args.emax, "--emax", 1)
 
     def first_step_count(r0: int) -> tuple[int, int, int]:
         c, step = _econ_residue(r0)  # one class mod step, all of the governing degree type

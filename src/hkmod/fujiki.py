@@ -47,8 +47,7 @@ def parse_kind(kind: str) -> tuple[str, int]:
 
 def fujiki_constant(kind: str) -> int:
     key, n = parse_kind(kind)
-    if n < 1:
-        raise InputError("n must be positive")
+    _check_int(n, "n", 1)
     return FUJIKI_CONSTANTS[key](n)
 
 
@@ -75,9 +74,7 @@ class FujikiSetup(Record):
 
 def double_factorial(m: int) -> int:
     """Product m(m-2)(m-4)...; equal to 1 for m in {-1, 0}."""
-    _check_int(m, "m")
-    if m < -1:
-        raise InputError(f"double factorial undefined for {m}")
+    _check_int(m, "m", -1)
     out = 1
     while m > 1:
         out *= m

@@ -14,11 +14,11 @@ from __future__ import annotations
 from math import comb, gcd
 
 from .errors import InputError, MathCheckError, NoAdmissibleParameter
-from .jsonio import _check_int
+from .jsonio import _check_int, _shown
 from .lattice import IntLattice, LatVec, lattice, pair, saturation_check, vec
 from .nl import (  # nl owns the (r0, e, i) degree arithmetic
     DEFAULT_SEARCH_CAP, _shifted_r0, buonacompt_bound, buonacompt_min_d, check_econ, check_i,
-    check_parity, check_r0, divisibility_type, econ_check, governing_divisibility, m0_s0,
+    check_parity, divisibility_type, econ_check, governing_divisibility, m0_s0,
     rigsuk_bound, rigsuk_min_d0,
 )
 from .record import Record, setfield
@@ -41,7 +41,7 @@ class F2Invariants(Record):
 def f2_invariants(r0: int) -> F2Invariants:
     """rank r0^2, discriminant coefficient r0^2(r0^2-1)/12, modularity
     constant 5*binom(r0^2, 2), and wall-control constant rank^2*d_mod/4."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     rank = r0 * r0
     delta_coeff = rank * (rank - 1) // 12
     d_mod = 5 * comb(rank, 2)
@@ -52,7 +52,7 @@ def f2_invariants(r0: int) -> F2Invariants:
 def h_polarization(r0: int, i: int, sign: str = "+") -> LatVec:
     """Coordinates (mu_D, mu_C, delta-half) of the slope-zero polarization:
     (i, 0, -i*(r0 -+ 1)/2)."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     check_i(i)
     shift = _shifted_r0(r0, sign)
     check_parity(r0, i)
@@ -86,7 +86,7 @@ def rosetta_check(r0: int, i: int, e: int, d0: int) -> TheoremReport:
     i*d0 with the isotropic fiber class, the fiber class is isotropic, and
     the pair spans a saturated sublattice. m0_s0 refuses an e of the wrong
     degree type or congruence."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     check_i(i)
     _check_int(d0, "d0", 1)
     check_parity(r0, i)
@@ -125,7 +125,7 @@ def restrango_check(kind: str, r: int, m: int) -> bool:
         return m * m % r == 0
     if kind == "Kum_2":
         return 3 * m * m % r == 0
-    raise InputError(f"unsupported deformation type {kind!r}")
+    raise InputError(f"unsupported deformation type {_shown(kind)}")
 
 
 def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
@@ -139,7 +139,7 @@ def potenza_solve(n: int, d1: int, d2: int, r: int, a: int) -> list[int]:
     for value, what in ((n, "n"), (d1, "d1"), (d2, "d2"), (r, "r"), (a, "a")):
         _check_int(value, what, 1)
     if d2 % d1:
-        raise InputError(f"d1 = {d1} must divide d2 = {d2}")
+        raise InputError(f"d1 = {_shown(d1)} must divide d2 = {_shown(d2)}")
     r0 = r // gcd(r, a)
     return [r0] if r0**n == r * gcd(r0, d1) * gcd(r0, d2) else []
 
@@ -222,7 +222,7 @@ def unicita_report(i: int, r0: int, e: int, cap: int = DEFAULT_SEARCH_CAP) -> Th
     the ambient dictionary at the found parameter.
     """
     check_i(i)
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     _check_int(e, "e")
     _check_int(cap, "cap", 1)
     checks: list[Check] = []

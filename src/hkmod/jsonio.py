@@ -28,8 +28,9 @@ _SHOWN_WIDTH = 200
 
 
 def _shown(value) -> str:
-    """repr(value) for a refusal, cut to _SHOWN_WIDTH characters with "..." appended."""
-    text = repr(value)
+    """repr(value) for a refusal (a Fraction as "p/q"), cut to _SHOWN_WIDTH characters with
+    "..." appended."""
+    text = str(value) if isinstance(value, Fraction) else repr(value)
     return text if len(text) <= _SHOWN_WIDTH else text[:_SHOWN_WIDTH] + "..."
 
 
@@ -73,24 +74,25 @@ def to_int(value, what: str = "value") -> int:
     """Parse an exact integer; rationals with denominator 1 are accepted."""
     q = to_exact(value)
     if type(q) is not int:
-        raise InputError(f"{what} must be an integer, got {q}")
+        raise InputError(f"{what} must be an integer, got {_shown(q)}")
     return q
 
 
 def _check_int(value, what: str, least: int | None = None) -> None:
-    """Refuse a library integer parameter that is not an int (a float or a bool is not one)
-    or, when least (0 or 1) is given, that lies below it."""
+    """The one integer gate: refuse a parameter that is not an int (a float or a bool is not
+    one) or, when least is given, that lies below it. The refusal never echoes the value."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer")
     if least is not None and value < least:
-        raise InputError(f"{what} must be {'positive' if least else 'nonnegative'}")
+        words = {1: "positive", 0: "nonnegative"}.get(least, f"at least {least}")
+        raise InputError(f"{what} must be {words}")
 
 
 def _level(a) -> Fraction:
     """A wall level: an exact rational, refused unless positive."""
     a = to_rational(a)
     if a <= 0:
-        raise InputError(f"level must be positive, got {a}")
+        raise InputError(f"level must be positive, got {_shown(a)}")
     return a
 
 

@@ -53,7 +53,7 @@ class LatVec(Record):
 
     def int_coords(self) -> tuple[int, ...]:
         if not self.integral:
-            raise InputError(f"vector {self.coords} is not integral")
+            raise InputError(f"vector {_shown(self.coords)} is not integral")
         return self.coords
 
     def to_json_dict(self):
@@ -82,14 +82,12 @@ class IntLattice(Record):
     """Finite-rank lattice with an integral symmetric Gram matrix."""
 
     def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...]):
-        if rank < 1:
-            raise InputError("rank must be positive")
+        _check_int(rank, "rank", 1)
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise InputError(f"gram must be {rank}x{rank}")
         for i in range(rank):
             for j in range(rank):
-                if not isinstance(gram[i][j], int) or isinstance(gram[i][j], bool):
-                    raise InputError("gram entries must be integers")
+                _check_int(gram[i][j], "gram entry")
                 if gram[i][j] != gram[j][i]:
                     raise InputError("gram must be symmetric")
         setfield(self, "rank", rank)
@@ -120,9 +118,7 @@ def lattice_from_json(data) -> IntLattice:
 def _check_elliptic(e: int, d: int) -> None:
     """The one gate of the elliptic lattice [[e, d], [d, 0]]: integer e and d, and d > 0."""
     _check_int(e, "e")
-    _check_int(d, "d")
-    if d <= 0:
-        raise InputError(f"fiber degree d must be positive, got {d}")
+    _check_int(d, "fiber degree d", 1)
 
 
 def ns_from_json(data) -> IntLattice:

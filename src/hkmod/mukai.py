@@ -12,16 +12,14 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, MathCheckError
-from .jsonio import _check_int, to_int
+from .jsonio import _check_int, _shown, to_int
 from .lattice import IntLattice, LatVec, latvec_from_json, norm, pair
 from .record import Record, setfield
 
 
 class MukaiVector(Record):
     def __init__(self, r: int, l: LatVec, s: int):
-        _check_int(r, "rank")
-        if r < 0:
-            raise InputError(f"rank must be nonnegative, got {r}")
+        _check_int(r, "rank", 0)
         if not isinstance(l, LatVec):
             raise InputError("middle component must be a lattice vector")
         if not l.integral:
@@ -54,20 +52,19 @@ def mukai_square(ns: IntLattice, v: MukaiVector) -> int:
     value = mukai_pairing(ns, v, v)
     if value % 2:
         raise MathCheckError(
-            f"self-pairing {value} is odd; the ambient lattice is not even"
+            f"self-pairing {_shown(value)} is odd; the ambient lattice is not even"
         )
     return value
 
 
 def from_chern(ns: IntLattice, r: int, c1: LatVec, c2: int) -> MukaiVector:
     """Mukai vector (r, c1, c1^2/2 - c2 + r) of a sheaf with these Chern data."""
-    if r < 0:
-        raise InputError("rank must be nonnegative")
+    _check_int(r, "rank", 0)
     if not c1.integral:
         raise InputError("c1 must be integral")
     c1sq = norm(ns, c1)
     if c1sq % 2:
-        raise MathCheckError(f"c1^2 = {c1sq} must be an even integer")
+        raise MathCheckError(f"c1^2 = {_shown(c1sq)} must be an even integer")
     return MukaiVector(r, c1, c1sq // 2 - c2 + r)
 
 
@@ -86,7 +83,7 @@ class MukaiNumerics(Record):
         _check_int(r, "rank", 1)
         _check_int(v_square, "v_square")
         if v_square % 2:
-            raise MathCheckError(f"square {v_square} must be even")
+            raise MathCheckError(f"square {_shown(v_square)} must be even")
         delta = v_square + 2 * r * r
         return cls(
             v_square=v_square,
@@ -97,8 +94,7 @@ class MukaiNumerics(Record):
 
 
 def numerics(ns: IntLattice, v: MukaiVector) -> MukaiNumerics:
-    if v.r < 1:
-        raise InputError("numerics need a positive rank")
+    _check_int(v.r, "rank", 1)
     return MukaiNumerics.from_square(v.r, mukai_square(ns, v))
 
 
@@ -115,7 +111,8 @@ def _twist(ns: IntLattice, v: MukaiVector, c: LatVec, m: int) -> MukaiVector:
     (r, l + m*r*c, s + m*q(l, c) + m^2*r*q(c)/2). Refuses a shift of s that is not an integer."""
     shift = m * pair(ns, v.l, c) + Fraction(v.r * m * m * norm(ns, c), 2)
     if shift.denominator != 1:
-        raise MathCheckError(f"twist shifts the last component by the non-integer {shift}")
+        raise MathCheckError(
+            f"twist shifts the last component by the non-integer {_shown(shift)}")
     return MukaiVector(v.r, v.l + (m * v.r) * c, v.s + shift.numerator)
 
 
@@ -137,11 +134,10 @@ def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -
     """
     k = _fiber_degree(ns, v, f)
     if v.r != w.r:
-        raise MathCheckError(f"rank mismatch: {v.r} != {w.r}")
-    if v.r < 1:
-        raise InputError("normalization needs a positive rank")
+        raise MathCheckError(f"rank mismatch: {_shown(v.r)} != {_shown(w.r)}")
+    _check_int(v.r, "rank", 1)
     if gcd(v.r, k) != 1:
-        raise MathCheckError(f"gcd(r, q(l,f)) = gcd({v.r}, {k}) != 1")
+        raise MathCheckError(f"gcd(r, q(l,f)) = gcd({_shown(v.r)}, {_shown(k)}) != 1")
     diff = w.l - v.l
     # f is nonzero, so its first nonzero coordinate fixes the candidate multiple
     x = next(Fraction(a, b) for a, b in zip(diff.coords, f.coords) if b != 0)
@@ -149,7 +145,8 @@ def normalize_twist(ns: IntLattice, v: MukaiVector, w: MukaiVector, f: LatVec) -
         raise MathCheckError("difference of middle components is not an integer multiple of f")
     x = x.numerator
     if x % v.r:
-        raise MathCheckError(f"fiber multiple {x} is not divisible by the rank {v.r}")
+        raise MathCheckError(
+            f"fiber multiple {_shown(x)} is not divisible by the rank {_shown(v.r)}")
     if mukai_square(ns, w) != mukai_square(ns, v):
         raise MathCheckError("squares differ; the vectors are not twists of each other")
     return x // v.r

@@ -20,27 +20,22 @@ from .errors import (
     NoAdmissibleParameter,
     SearchCapExceeded,
 )
-from .jsonio import _check_int, _level
+from .jsonio import _check_int, _level, _shown
 from .lattice import LatVec, vec
 from .record import Record, setfield
 
 DEFAULT_SEARCH_CAP = 10**7
 
 
-def check_r0(r0: int) -> None:
-    if not isinstance(r0, int) or isinstance(r0, bool) or r0 < 1:
-        raise InputError(f"r0 must be a positive integer, got {r0!r}")
-
-
 def check_i(i: int) -> None:
     _check_int(i, "divisibility")
     if i not in (1, 2):
-        raise InputError(f"divisibility must be 1 or 2, got {i}")
+        raise InputError(f"divisibility must be 1 or 2, got {_shown(i)}")
 
 
 def check_parity(r0: int, i: int) -> None:
     if r0 % 2 != i % 2:
-        raise MathCheckError(f"parity mismatch: r0 = {r0} and i = {i}")
+        raise MathCheckError(f"parity mismatch: r0 = {_shown(r0)} and i = {_shown(i)}")
 
 
 def _econ_residue(r0: int) -> tuple[int, int]:
@@ -55,7 +50,7 @@ def _econ_residue(r0: int) -> tuple[int, int]:
 
 def econ_check(r0: int, e: int) -> bool:
     """Congruence on e that makes the twist slope integral: e in the class _econ_residue(r0)."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     _check_int(e, "e")
     c, modulus = _econ_residue(r0)
     return e % modulus == c
@@ -63,7 +58,8 @@ def econ_check(r0: int, e: int) -> bool:
 
 def check_econ(r0: int, e: int) -> None:
     if not econ_check(r0, e):
-        raise MathCheckError(f"e = {e} fails the congruence condition for r0 = {r0}")
+        raise MathCheckError(
+            f"e = {_shown(e)} fails the congruence condition for r0 = {_shown(r0)}")
 
 
 def divisibility_type(e: int, i: int) -> bool:
@@ -79,15 +75,15 @@ def divisibility_type(e: int, i: int) -> bool:
 
 def governing_divisibility(r0: int) -> int:
     """Divisibility forced by the rank parity: 1 for odd r0, 2 for even."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     return 1 if r0 % 2 else 2
 
 
 def _shifted_r0(r0: int, sign: str) -> int:
     """r0 - 1 for the '+' twist, r0 + 1 for the '-' twist."""
     if sign not in ("+", "-"):
-        raise InputError(f"sign must be '+' or '-', got {sign!r}")
-    check_r0(r0)
+        raise InputError(f"sign must be '+' or '-', got {_shown(sign)}")
+    _check_int(r0, "r0", 1)
     return r0 - 1 if sign == "+" else r0 + 1
 
 
@@ -101,7 +97,7 @@ def m0_s0(r0: int, e: int, sign: str = "+") -> tuple[int, int]:
     shift = _shifted_r0(r0, sign)
     i = governing_divisibility(r0)
     if not divisibility_type(e, i):
-        raise MathCheckError(f"e = {e} is not a valid degree for divisibility {i}")
+        raise MathCheckError(f"e = {_shown(e)} is not a valid degree for divisibility {i}")
     check_econ(r0, e)
     m0 = (2 * e + shift**2) // 4 if r0 % 2 else (e + 2 * shift**2) // 8
     return m0, (m0 + 1) // r0
@@ -211,7 +207,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
     _check_int(d, "d", 1)
     check_i(i)
     if d % i:
-        raise InputError(f"divisibility {i} must divide d = {d}")
+        raise InputError(f"divisibility {i} must divide d = {_shown(d)}")
     _check_int(m, "multiplier", 1)
     a0 = _level(a0)
     bound = max(a0 * (e + 1) / 2, Fraction(10 * (e + 1)))
@@ -227,7 +223,7 @@ def propriostab_admissible(e: int, d: int, i: int, a0, m: int) -> Admissibility:
 
 def buonacompt_bound(r0: int, e: int) -> Fraction:
     """Lower bound (5/16)*r0^6*(r0^2-1)*(e+1) that d must exceed."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     _check_int(e, "e")
     return Fraction(5, 16) * r0**6 * (r0**2 - 1) * (e + 1)
 
@@ -248,14 +244,14 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
     check_econ(r0, e)
     if (2 * i) % e == 0:
         raise NoAdmissibleParameter(
-            f"e = {e} divides 2*d for every d divisible by {i}: the search is empty"
+            f"e = {_shown(e)} divides 2*d for every d divisible by {i}: the search is empty"
         )
     bound = buonacompt_bound(r0, e)
     d = floor(bound) // i * i + i
     needed = 1 if (2 * d) % e else 2
     if needed > cap:
         raise SearchCapExceeded(
-            f"cap reached: {cap} candidate(s) above the bound {bound} examined, "
+            f"cap reached: {_shown(cap)} candidate(s) above the bound {_shown(bound)} examined, "
             "none admissible"
         )
     return d if needed == 1 else d + i
@@ -263,7 +259,7 @@ def buonacompt_min_d(r0: int, e: int, i: int, cap: int = DEFAULT_SEARCH_CAP) -> 
 
 def rigsuk_bound(m0: int, r0: int) -> Fraction:
     """Lower bound (2*m0+1)*r0^2*(r0^2-1)/4 that d0 must exceed."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     _check_int(m0, "m0", 0)
     return Fraction((2 * m0 + 1) * r0**2 * (r0**2 - 1), 4)
 

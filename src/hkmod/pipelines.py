@@ -126,8 +126,7 @@ def multacca_normalize(ns: IntLattice, v: MukaiVector, h: LatVec, n: int) -> Twi
     """Twist v by the n-th power of the line bundle with class h and split
     the resulting middle component as x times a primitive class."""
     _check_int(n, "n")
-    if v.r < 1:
-        raise InputError("twisting needs a positive rank")
+    _check_int(v.r, "rank", 1)
     if not h.integral:
         raise InputError("twisting class must be integral")
     w = _twist(ns, v, h, n)

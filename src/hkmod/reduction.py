@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InputError, MathCheckError
-from .jsonio import _check_int
+from .jsonio import _check_int, _shown
 from .lattice import IntLattice, LatVec
 from .mukai import MukaiVector, _fiber_degree, mukai_square
 from .record import Record, setfield
@@ -35,12 +35,10 @@ def atiyah_exists(r: int, deg: int) -> AtiyahResult:
 
 def bezout_r0_d0(r: int, k: int) -> tuple[int, int]:
     """The unique pair with k*r0 - r*d0 = 1 and 0 < r0 < r."""
-    _check_int(r, "rank")
+    _check_int(r, "rank", 2)
     _check_int(k, "k")
-    if r < 2:
-        raise InputError(f"rank must be at least 2, got {r}")
     if gcd(r, k) != 1:
-        raise MathCheckError(f"gcd({r}, {k}) != 1: no Bezout pair exists")
+        raise MathCheckError(f"gcd({_shown(r)}, {_shown(k)}) != 1: no Bezout pair exists")
     r0 = pow(k, -1, r)
     return r0, (k * r0 - 1) // r
 
@@ -77,11 +75,10 @@ class ReductionTrace(Record):
 
 def rigid_vector(ns: IntLattice, v: MukaiVector, f: LatVec) -> MukaiVector:
     """Twist v to the vector of square -2 singled out by the Bezout pair."""
-    if v.r < 2:
-        raise InputError(f"rank must be at least 2, got {v.r}")
+    _check_int(v.r, "rank", 2)
     vsq = mukai_square(ns, v)
     if vsq < -2:
-        raise MathCheckError(f"square {vsq} is below the rigid bound -2")
+        raise MathCheckError(f"square {_shown(vsq)} is below the rigid bound -2")
     k = _fiber_degree(ns, v, f)
     r0, d0 = bezout_r0_d0(v.r, k)
     n = vsq // 2 + 1
@@ -96,14 +93,14 @@ def elementary_modification(
     The step must strictly decrease the slope, which makes the square
     drop by the positive amount 2*(r_b*k - r*deg_b).
     """
-    if w.r < 2:
-        raise InputError("modifications need rank at least 2")
+    _check_int(w.r, "rank", 2)
     if not 1 <= step.r_b <= w.r - 1:
-        raise InputError(f"fiber rank must lie in [1, {w.r - 1}], got {step.r_b}")
+        raise InputError(f"fiber rank must lie in [1, {_shown(w.r - 1)}], got {_shown(step.r_b)}")
     k = _fiber_degree(ns, w, f)
     if step.r_b * k - w.r * step.deg_b <= 0:
         raise MathCheckError(
-            f"step ({step.r_b}, {step.deg_b}) does not strictly decrease the slope {k}/{w.r}"
+            f"step ({_shown(step.r_b)}, {_shown(step.deg_b)}) does not strictly decrease the "
+            f"slope {_shown(k)}/{_shown(w.r)}"
         )
     return MukaiVector(w.r, w.l - step.r_b * f, w.s - step.deg_b)
 
@@ -118,15 +115,15 @@ def reduction_trace(
     current = w0
     squares = [mukai_square(ns, w0)]
     if squares[0] < -2:
-        raise MathCheckError(f"square {squares[0]} is below the rigid bound -2")
+        raise MathCheckError(f"square {_shown(squares[0])} is below the rigid bound -2")
     applied = []
     for step in steps:
         nxt = elementary_modification(ns, current, step, f)
         sq = mukai_square(ns, nxt)
         if sq < -2:
             raise MathCheckError(
-                f"step ({step.r_b}, {step.deg_b}) drops the square to {sq}, "
-                "below the rigid bound -2"
+                f"step ({_shown(step.r_b)}, {_shown(step.deg_b)}) drops the square to "
+                f"{_shown(sq)}, below the rigid bound -2"
             )
         current = nxt
         squares.append(sq)
@@ -144,10 +141,8 @@ class HomCountResult(Record):
 
 def hom_count_check(k: int, r: int, r0: int, d0: int) -> HomCountResult:
     """Value k*r0 - r*d0, flagged when (r0, d0) is the canonical Bezout pair."""
-    for value, what in ((k, "k"), (r, "rank"), (r0, "r0"), (d0, "d0")):
-        _check_int(value, what)
-    if r < 2:
-        raise InputError("rank must be at least 2")
+    for value, what, least in ((k, "k", None), (r, "rank", 2), (r0, "r0", None), (d0, "d0", None)):
+        _check_int(value, what, least)
     canonical = gcd(r, k) == 1 and (r0, d0) == bezout_r0_d0(r, k)
     return HomCountResult(value=k * r0 - r * d0, is_bezout_pair=canonical)
 
@@ -159,8 +154,7 @@ def nonlocally_free_dim_identity(
     along a length-dlen locus; they agree identically, and the common value
     stays below 2*n(v) exactly when the rank is at least 2."""
     _check_int(dlen, "locus length", 1)
-    if v.r < 1:
-        raise InputError("rank must be positive")
+    _check_int(v.r, "rank", 1)
     shifted = MukaiVector(v.r, v.l, v.s + dlen)
     lhs = mukai_square(ns, shifted) + 2 + dlen * (v.r + 1)
     n = mukai_square(ns, v) // 2 + 1

@@ -12,6 +12,7 @@ can run alone. Suites run in name order.
 from __future__ import annotations
 
 from .errors import InputError
+from .jsonio import _shown
 from .record import Record, setfield
 
 # Check and TheoremReport are imported where a run builds them, so that importing the runner
@@ -65,7 +66,7 @@ def verify_all(name_filter: str | None = None) -> VerifySummary:
     if name_filter is not None:
         names = [n for n in names if name_filter in n]
         if not names:
-            raise InputError(f"no verification suite matches {name_filter!r}")
+            raise InputError(f"no verification suite matches {_shown(name_filter)}")
     return VerifySummary(
         suites=tuple(
             TheoremReport(theorem=n, checks=tuple(_check(n, fn) for fn in SUITES[n]))

@@ -173,8 +173,7 @@ def min_negative_norm(ns: EllipticNS) -> int:
     such t that g = gcd(e, 2d) divides, solve -e*x = t (mod 2d) for
     the least x >= 1 with one inverse of e/g mod 2d/g. O(sqrt(d)).
     """
-    if ns.e < 0:
-        raise InputError("needs e >= 0 so negative-norm classes have x != 0")
+    _check_int(ns.e, "e", 0)  # so negative-norm classes have x != 0
     e, n = ns.e, 2 * ns.d
     root = isqrt(n)
     best = min(x * ((-e * x) % n or n) for x in range(1, root + 1))
@@ -196,9 +195,7 @@ def no_wall_threshold(e: int, a) -> int:
     walls.threshold_guarantees_empty confirms the emptiness on the wall stream.
     """
     a = _level(a)
-    _check_int(e, "e")
-    if e < 0:
-        raise InputError("needs e >= 0")
+    _check_int(e, "e", 0)
     return floor(a * (1 + e) / 2) + 1
 
 

@@ -7,7 +7,8 @@ pytest:
 
 COMMAND starts hkmod: by default `python -m hkmod` with this interpreter (hkmod must be
 importable, for example with PYTHONPATH=src), or `hkmod` for the installed console script.
-Prints one line a contract and exits 1 if any contract fails.
+A contract fails on a wrong exit code or stdout, or on a traceback on stderr. Prints one line a
+contract and exits 1 if any contract fails.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def check(command: list[str], contract) -> str | None:
         return f"still running after {timeout} s"
     if proc.returncode != code:
         return f"exit code {proc.returncode}, expected {code}; stderr: {proc.stderr.decode()[-300:]}"
+    if b"Traceback" in proc.stderr:
+        return f"a traceback on stderr: {proc.stderr.decode()[-300:]}"
     if isinstance(golden, bytes):
         if proc.stdout != golden:
             return "stdout differs from the recorded answer"

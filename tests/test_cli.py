@@ -731,7 +731,7 @@ def test_cli_import_leaves_typing_and_random_unloaded():
 
 
 GATE_REFUSALS = [
-    (["nl-search", "--r0", "0", "--e", "6"], 2, "error: r0 must be a positive integer, got 0"),
+    (["nl-search", "--r0", "0", "--e", "6"], 2, "error: r0 must be positive"),
     (["nl-search", "--r0", "2", "--e", "8"], 1,
      "refused: e = 8 fails the congruence condition for r0 = 2"),
     (["nl-search", "--r0", "1", "--e", "2"], 1,
@@ -741,14 +741,15 @@ GATE_REFUSALS = [
     (["unicita", "--i", "3", "--r0", "2", "--e", "6"], 2,
      "error: divisibility must be 1 or 2, got 3"),
     (["unicita", "--i", "2", "--r0", "0", "--e", "6"], 2,
-     "error: r0 must be a positive integer, got 0"),
+     "error: r0 must be positive"),
     # the cap is refused before the econ check and the parity check can end the report
     (["unicita", "--i", "2", "--r0", "2", "--e", "8", "--cap", "0"], 2,
      "error: cap must be positive"),
     (["unicita", "--i", "1", "--r0", "2", "--e", "6", "--cap", "0"], 2,
      "error: cap must be positive"),
     (["sweep-econ", "--r0max", "0", "--emax", "10"], 2,
-     "error: --r0max and --emax must be positive"),
+     "error: --r0max must be positive"),
+    (["sweep-econ", "--r0max", "3", "--emax", "0"], 2, "error: --emax must be positive"),
     (["nl", "--kind", "hk", "--i", "3", "--e", "4", "--d", "51"], 2,
      "error: divisibility must be 1 or 2, got 3"),
     (["nl", "--kind", "hk", "--e", "6", "--d", "74"], 2, "error: --kind hk needs --i"),
@@ -821,10 +822,9 @@ HUGE_CASES = [
     # an exact answer of 4401 digits: 10^2200 * 10^2200 * 1
     (["fujiki", "--setup", "@setup_2200", "--classes", "@classes_2200"], 0,
      "value: 1" + "0" * 4400 + "\nmatchings: 1\nn: 1\nc_x: 1\n", ""),
-    # the refusal names the odd self-pairing (10^2200 + 1)^2 in full
+    # the refusal names the odd self-pairing (10^2200 + 1)^2, cut to its first 200 digits
     (["mukai", "--ns", "@ns_1", "--v", "@v_odd"], 1, "",
-     "refused: self-pairing 1" + "0" * 2199 + "2" + "0" * 2199 + "1"
-     + " is odd; the ambient lattice is not even\n"),
+     "refused: self-pairing 1" + "0" * 199 + "... is odd; the ambient lattice is not even\n"),
     (["walls", "--e", "2", "--d", "3", "--a", DIGITS_5001], 2, "", TOO_MANY),
     (["walls", "--e", DIGITS_5001, "--d", "3", "--a", "1"], 2, "",
      WALLS_USAGE + "hkmod walls: error: argument --e: " + BOUND),
@@ -838,7 +838,8 @@ HUGE_CASES = [
 def test_huge_numbers_keep_the_exit_code_contract(
     capsys, monkeypatch, tmp_path, argv, code, out, err
 ):
-    """Input past the digit bound exits 2; every exact answer and refusal prints in full."""
+    """Input past the digit bound exits 2; every exact answer prints in full, and a refusal
+    prints the first 200 characters of a value it quotes."""
     monkeypatch.setenv("COLUMNS", "80")  # the width WALLS_USAGE was wrapped to
     for name, text in HUGE_FILES.items():
         (tmp_path / f"{name}.json").write_text(text)
@@ -934,6 +935,92 @@ def test_a_long_declared_rank_is_echoed_cut(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Refusals that quote a value read from, or computed from, an over-long input; every file
+# argument "@name" is ECHO_FILES[name], written as JSON. Each value has 4,000 digits, or
+# 100,000 characters; a case whose name ends in "-" quotes a negative value.
+BIG = "1" + "0" * 3999
+ECHO_FILES = {
+    "ns": {"e": 4, "d": 1}, "ns_e2": {"e": 2, "d": 3}, "ns_d": {"e": 4, "d": "-" + BIG},
+    "v": {"r": 2, "l": [1, 0], "s": 1}, "v_r": {"r": "-" + BIG, "l": [1, 0], "s": 1},
+    "v_s": {"r": 3, "l": [1, 1], "s": BIG},
+    "step_r": [{"r_b": BIG, "deg_b": 0}], "step_r-": [{"r_b": "-" + BIG, "deg_b": 0}],
+    "step_deg": [{"r_b": 1, "deg_b": BIG}],
+    "setup_n": {"kind": "K3^[2]", "gram": [[2, 1], [1, 0]], "n": BIG},
+    "setup_n-": {"kind": "K3^[2]", "gram": [[2, 1], [1, 0]], "n": "-" + BIG},
+    "classes": [[1, 0], [0, 1]],
+}
+ECHO_CASES = {
+    "verify-all-filter": (["verify-all", "--filter", "x" * 100_000], 2),
+    "unicita-i": (["unicita", "--i", BIG, "--r0", "1", "--e", "2"], 2),
+    "unicita-i-": (["unicita", "--i", "-" + BIG, "--r0", "1", "--e", "2"], 2),
+    "nl-hk-i": (["nl", "--kind", "hk", "--i", BIG, "--e", "4", "--d", "51"], 2),
+    "nl-search-e": (["nl-search", "--r0", "3", "--e", "4" + BIG[1:]], 1),
+    "nl-search-e-": (["nl-search", "--r0", "3", "--e", "-4" + BIG[1:]], 2),
+    "nl-search-r0": (["nl-search", "--r0", BIG[:-1] + "1", "--e", "6"], 1),
+    "nl-search-r0-": (["nl-search", "--r0", "-" + BIG, "--e", "6"], 2),
+    "walls-a-": (["walls", "--e", "4", "--d", "3", "--a", "-" + BIG], 2),
+    "walls-d-": (["walls", "--e", "4", "--d", "-" + BIG, "--a", "3"], 2),
+    "sweep-econ-r0max-": (["sweep-econ", "--r0max", "-" + BIG, "--emax", "10"], 2),
+    "mukai-ns-d-": (["mukai", "--ns", "@ns_d", "--v", "@v"], 2),
+    "mukai-v-r-": (["mukai", "--ns", "@ns", "--v", "@v_r"], 2),
+    "rigid-square": (["rigid", "--ns", "@ns_e2", "--v", "@v_s"], 1),
+    "reduce-square": (["reduce", "--ns", "@ns_e2", "--v", "@v_s", "--steps", "@step_deg"], 1),
+    "reduce-step-rank": (["reduce", "--ns", "@ns", "--v", "@v", "--steps", "@step_r"], 2),
+    "reduce-step-rank-": (["reduce", "--ns", "@ns", "--v", "@v", "--steps", "@step_r-"], 2),
+    "reduce-step-degree": (["reduce", "--ns", "@ns", "--v", "@v", "--steps", "@step_deg"], 1),
+    "fujiki-n": (["fujiki", "--setup", "@setup_n", "--classes", "@classes"], 2),
+    "fujiki-n-": (["fujiki", "--setup", "@setup_n-", "--classes", "@classes"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", ECHO_CASES.values(), ids=ECHO_CASES)
+def test_a_refusal_echoes_an_over_long_value_cut(tmp_path, argv, code):
+    """Each quoted value is cut to 200 characters, so the refusal stays under 1 KB.
+
+    A child process, so that the exit code and stderr are the ones a caller sees."""
+    for name, data in ECHO_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    proc = run_child("-m", "hkmod", *argv)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("refused: " if code == 1 else "error: ")
+    assert len(proc.stderr.encode()) < 1024
+    assert "Traceback" not in proc.stderr
+
+
+# Commands that write more than two pipe buffers, line by line or row by row, for a reader
+# that reads one chunk and leaves
+CLOSED_PIPE = {
+    "walls": ["walls", "--e", "4", "--d", "50", "--a", "100000"],
+    "sweep-econ-json": ["sweep-econ", "--r0max", "20000", "--emax", "100", "--json",
+                        "--no-timestamp"],
+}
+
+
+def closed_pipe_child(argv, chunk):
+    """Run hkmod with stdout a pipe that the parent closes after reading `chunk` bytes (before
+    the child writes, at 0); the child's exit code and stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "hkmod", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=child_env())
+    if chunk:
+        assert len(proc.stdout.read(chunk)) == chunk
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE.values(), ids=CLOSED_PIPE)
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_stderr(argv):
+    # read more than one pipe buffer (64 KiB on Linux), so the reader leaves while the child
+    # still writes: walls writes about 0.9 MB here, sweep-econ about 0.8 MB
+    assert closed_pipe_child(argv, 1 << 17) == (1, b"")
+
+
+def test_stdout_closed_before_the_child_writes_gets_exit_1_and_no_stderr():
+    assert closed_pipe_child(["walls", "--e", "4", "--d", "3", "--a", "30"], 0) == (1, b"")
+
+
 # Bad --ns values and their refusals: every subcommand that reads a lattice file gives the same
 BAD_NS = [
     ({"e": True, "d": 1}, "expected a rational, got boolean True"),
@@ -943,8 +1030,8 @@ BAD_NS = [
     ({"e": "7/2", "d": 1}, "e must be an integer, got 7/2"),
     ({"e": 4, "d": "3/2"}, "d must be an integer, got 3/2"),
     ({"e": "x", "d": 1}, "cannot parse rational from 'x'"),
-    ({"e": 4, "d": 0}, "fiber degree d must be positive, got 0"),
-    ({"e": 4, "d": -2}, "fiber degree d must be positive, got -2"),
+    ({"e": 4, "d": 0}, "fiber degree d must be positive"),
+    ({"e": 4, "d": -2}, "fiber degree d must be positive"),
     ({"e": 4}, "an elliptic lattice is a JSON object with keys e and d"),
     ({"d": 1}, "an elliptic lattice is a JSON object with keys e and d"),
     ([4, 1], "an elliptic lattice is a JSON object with keys e and d"),

@@ -38,6 +38,9 @@ def test_the_runner_reports_a_broken_contract():
     assert run_contracts.check(MODULE, (UNICITA, 0, b"", None)) == (
         "stdout differs from the recorded answer"
     )
+    # the exit code is the expected one, but a traceback is never part of a contract
+    crash = [sys.executable, "-c", "raise SystemExit('Traceback (most recent call last): ...')"]
+    assert run_contracts.check(crash, ([], 1, None, None)).startswith("a traceback on stderr")
 
 
 def test_the_first_pool_answer_of_each_subcommand_holds_in_a_fresh_process(tmp_path):

@@ -1,15 +1,20 @@
 import json
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hkmod import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
+from hkmod._commands.sweep_econ import cmd_sweep_econ
 from hkmod.errors import InputError
 from hkmod.jsonio import (
     MAX_DIGITS, canonical_json, encode, load_json_file, to_int, to_rational,
 )
-from hkmod.lattice import vec
+from hkmod.lattice import IntLattice, lattice, vec
 from hkmod.verify import verify_all
 from test_record import SPECS
 
@@ -160,3 +165,77 @@ def test_input_numbers_have_at_most_max_digits(tmp_path):
 def test_rational_round_trip(p, q):
     x = Fraction(p, q)
     assert to_rational(encode(x)) == x
+
+
+# The integer gate at every site that calls jsonio._check_int for a bound (and at the gram
+# entries): (site, the routine with the parameter as its only argument, the parameter's name
+# in the refusal, the least value). A stand-in record (SimpleNamespace) carries a field that
+# the record's own gate would refuse first.
+E4D1 = lattice(((4, 1), (1, 0)))
+V1 = mukai.MukaiVector(1, vec((0, 0)), 0)
+V2 = mukai.MukaiVector(2, vec((1, 0)), 1)  # square 0, fiber degree 1
+F = vec((0, 1))
+
+
+def _vector(r):
+    return SimpleNamespace(r=r, l=V2.l, s=V2.s)
+
+
+def _fujiki_constant(n):
+    with mock.patch.object(fujiki, "parse_kind", return_value=("K3^[n]", n)):
+        return fujiki.fujiki_constant("K3^[n]")
+
+
+GATE_SITES = [
+    ("fujiki.fujiki_constant", _fujiki_constant, "n", 1),
+    ("fujiki.double_factorial", fujiki.double_factorial, "m", -1),
+    ("lattice.IntLattice", lambda r: IntLattice(r, ((0,),)), "rank", 1),
+    ("lattice.IntLattice-gram", lambda x: IntLattice(1, ((x,),)), "gram entry", None),
+    ("walls.EllipticNS", lambda d: walls.EllipticNS(4, d), "fiber degree d", 1),
+    ("mukai.MukaiVector", lambda r: mukai.MukaiVector(r, F, 0), "rank", 0),
+    ("mukai.from_chern", lambda r: mukai.from_chern(E4D1, r, F, 0), "rank", 0),
+    ("mukai.numerics", lambda r: mukai.numerics(E4D1, _vector(r)), "rank", 1),
+    ("mukai.normalize_twist", lambda r: mukai.normalize_twist(E4D1, _vector(r), _vector(r), F),
+     "rank", 1),
+    ("pipelines.multacca_normalize",
+     lambda r: pipelines.multacca_normalize(E4D1, _vector(r), vec((1, 0)), 1), "rank", 1),
+    ("reduction.bezout_r0_d0", lambda r: reduction.bezout_r0_d0(r, 1), "rank", 2),
+    ("reduction.rigid_vector", lambda r: reduction.rigid_vector(E4D1, _vector(r), F), "rank", 2),
+    ("reduction.elementary_modification", lambda r: reduction.elementary_modification(
+        E4D1, _vector(r), reduction.ModificationStep(1, 0), F), "rank", 2),
+    ("reduction.hom_count_check", lambda r: reduction.hom_count_check(1, r, 1, 0), "rank", 2),
+    ("reduction.nonlocally_free_dim_identity",
+     lambda r: reduction.nonlocally_free_dim_identity(E4D1, _vector(r), 1), "rank", 1),
+    ("walls.min_negative_norm", lambda e: walls.min_negative_norm(SimpleNamespace(e=e, d=1)),
+     "e", 0),
+    ("walls.no_wall_threshold", lambda e: walls.no_wall_threshold(e, 3), "e", 0),
+    ("sweep-econ --r0max", lambda n: cmd_sweep_econ(SimpleNamespace(r0max=n, emax=10)),
+     "--r0max", 1),
+    ("sweep-econ --emax", lambda n: cmd_sweep_econ(SimpleNamespace(r0max=3, emax=n)),
+     "--emax", 1),
+    # the callers of the r0 gate
+    ("nl.econ_check", lambda r0: nl.econ_check(r0, 2), "r0", 1),
+    ("nl.governing_divisibility", nl.governing_divisibility, "r0", 1),
+    ("nl.m0_s0", lambda r0: nl.m0_s0(r0, 2), "r0", 1),
+    ("nl.buonacompt_bound", lambda r0: nl.buonacompt_bound(r0, 2), "r0", 1),
+    ("nl.rigsuk_bound", lambda r0: nl.rigsuk_bound(0, r0), "r0", 1),
+    ("hilb2.f2_invariants", hilb2.f2_invariants, "r0", 1),
+    ("hilb2.h_polarization", lambda r0: hilb2.h_polarization(r0, 1), "r0", 1),
+    ("hilb2.rosetta_check", lambda r0: hilb2.rosetta_check(r0, 1, 2, 1), "r0", 1),
+    ("hilb2.unicita_report", lambda r0: hilb2.unicita_report(1, r0, 2), "r0", 1),
+]
+BOUND_TEXT = {-1: "at least -1", 0: "nonnegative", 1: "positive", 2: "at least 2"}
+
+
+@pytest.mark.parametrize("call, what, least", [site[1:] for site in GATE_SITES],
+                         ids=[site[0] for site in GATE_SITES])
+def test_every_integer_gate_refuses_in_its_own_words(call, what, least):
+    """A float or a bool is not an integer, one below the least value is refused, and the least
+    value passes; no refusal echoes the value. No assert is involved, so python -O agrees."""
+    for bad in (float(least or 0), True):
+        with pytest.raises(InputError, match=f"^{re.escape(what)} must be an integer$"):
+            call(bad)
+    if least is not None:
+        with pytest.raises(InputError, match=f"^{re.escape(what)} must be {BOUND_TEXT[least]}$"):
+            call(least - 1)
+    call(0 if least is None else least)

@@ -63,7 +63,7 @@ def test_lattice_validation():
         lattice(((1, 2),))  # not square
     with pytest.raises(InputError):
         lattice(((Fraction(1, 2),),))  # not integral
-    with pytest.raises(InputError, match="gram entries must be integers"):
+    with pytest.raises(InputError, match="^gram entry must be an integer$"):
         IntLattice(1, ((Fraction(1, 2),),))
     for gram in (5, [1, 2], None, "12", ["12", "21"], [[1], 2]):
         with pytest.raises(InputError, match="array of arrays"):

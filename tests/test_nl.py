@@ -33,7 +33,6 @@ from hkmod.mukai import MukaiNumerics, MukaiVector
 from hkmod.nl import (
     buonacompt_bound,
     buonacompt_min_d,
-    check_r0,
     nef_isotropic_classes,
     nl_hk_admissible,
     nl_k3_admissible,
@@ -85,7 +84,7 @@ def test_nef_isotropic_frozen():
 
 def four_branch_econ(r0, e):
     """econ_check as four branches on r0 mod 4, before the congruence was one residue class."""
-    check_r0(r0)
+    _check_int(r0, "r0", 1)
     _check_int(e, "e")
     m = r0 % 4
     if m == 0:

@@ -37,9 +37,9 @@ def test_elliptic_ns_validation():
     assert ns.q(ns.h) == 4
     assert ns.q(ns.h, ns.f) == 1
     # the one gate that the {e, d} reader, lattice.ns_from_json, calls too
-    with pytest.raises(InputError, match="^fiber degree d must be positive, got 0$"):
+    with pytest.raises(InputError, match="^fiber degree d must be positive$"):
         EllipticNS(4, 0)
-    with pytest.raises(InputError, match="^fiber degree d must be positive, got -2$"):
+    with pytest.raises(InputError, match="^fiber degree d must be positive$"):
         EllipticNS(4, -2)
     with pytest.raises(InputError):
         EllipticNS(4.0, 1)
