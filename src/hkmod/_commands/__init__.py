@@ -2,5 +2,5 @@
 the command, so a process compiles only its own handler.
 
 Each handler takes the parsed arguments and returns the payload to print and the exit
-code; `cli.main` prints the payload. No module here imports `hkmod.cli`.
+code; `cli._run` prints the payload, through `cli._emit`. No module here imports `hkmod.cli`.
 """

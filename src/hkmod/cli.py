@@ -11,17 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from importlib import import_module
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
 from .jsonio import _parse, canonical_json, encode
 from .verify import verify_all  # the runner only: the checks load when verify-all runs
-
-
-def _timestamp() -> str:
-    from datetime import datetime, timezone  # only timestamped JSON needs it; keeps start-up lean
-
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _scalar(value) -> str:
@@ -48,38 +43,40 @@ def _human_lines(value, indent: int = 0) -> list[str]:
 
 
 def _emit(args, payload: dict) -> None:
-    """Print payload as canonical JSON (--json) or as human lines; a "rows" iterator goes
-    through _emit_rows."""
-    rows = payload.get("rows")
-    if hasattr(rows, "__next__"):
-        _emit_rows(args, {key: item for key, item in payload.items() if key != "rows"}, rows)
-    elif args.json:
-        if not args.no_timestamp:
-            payload = dict(payload)
-            payload["generated_at"] = _timestamp()
-        sys.stdout.write(canonical_json(payload))
-    else:
-        for line in _human_lines(encode(payload)):
-            print(line)
-
-
-def _emit_rows(args, head: dict, rows) -> None:
-    """_emit(args, {**head, "rows": list(rows)}) with each row printed as it is made, so no run
-    holds its rows. "rows" sorts after every key of head, and rows is never empty."""
+    """Print payload as canonical JSON (--json, keys sorted) or as human lines (keys in order),
+    a top-level value in one piece and a list or iterator one element per piece. No write
+    holds the whole payload, an iterator prints as it is made, and every piece is followed by
+    a write (the closing brace in JSON, print's line end in text) that raises once stdout has
+    closed, so output cut short never passes for a whole answer."""
+    if args.json and not args.no_timestamp:
+        from datetime import datetime, timezone  # only timestamped JSON needs it: lean start-up
+        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        payload = {**payload, "generated_at": stamp}
+    for n, key in enumerate(sorted(payload) if args.json else payload):
+        value = payload[key]
+        if args.json:
+            sys.stdout.write(("," if n else "{") + json.dumps(key) + ":")
+        if not isinstance(value, (list, Iterator)):
+            if args.json:
+                sys.stdout.write(canonical_json(value)[:-1])
+            else:
+                print("\n".join(_human_lines(encode({key: value}))))
+            continue
+        empty = True
+        for item in value:
+            if args.json:
+                sys.stdout.write(("[" if empty else ",") + canonical_json(item)[:-1])
+            else:
+                if empty:
+                    print(f"{key}:")
+                print("\n".join(_human_lines([encode(item)], 1)))
+            empty = False
+        if args.json:
+            sys.stdout.write("[]" if empty else "]")
+        elif empty:
+            print(f"{key}: []")
     if args.json:
-        if not args.no_timestamp:
-            head = {**head, "generated_at": _timestamp()}
-        sys.stdout.write(canonical_json(head)[:-2] + ',"rows":[')  # head without its "}\n"
-        for n, row in enumerate(rows):
-            sys.stdout.write(("," if n else "") + canonical_json(row)[:-1])
-        sys.stdout.write("]}\n")
-    else:
-        for line in _human_lines(encode(head)):
-            print(line)
-        print("rows:")
-        for row in rows:
-            for line in _human_lines([encode(row)], 1):
-                print(line)
+        sys.stdout.write("}\n" if payload else "{}\n")
 
 
 def _int(text: str) -> int:
@@ -123,8 +120,8 @@ def _required_ints(*flags: str) -> list:
 # CAP comes first, so the usage line lists it where it always has. A handler is named
 # "module:function" of hkmod._commands (one module per subcommand or per group that shares
 # a helper), which main imports once it knows the command, so importing this module
-# compiles none of them; it returns the payload and the exit code, and main prints the
-# payload. verify-all's handler is cmd_verify_all itself, which prints its own text.
+# compiles none of them; it returns the payload and the exit code, and _run prints the
+# payload through _emit. verify-all's handler is cmd_verify_all itself, which prints its own text.
 COMMANDS = {
     "fujiki": ("top intersection numbers", "fujiki:cmd_fujiki", [
         ("--setup", {"required": True, "help": "JSON file with n, c_x or kind, gram"}),

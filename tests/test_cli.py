@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 import hkmod
 import hkmod.checks
 from hkmod.__main__ import run as run_process
-from hkmod.cli import COMMANDS, build_parser, main
+from hkmod.cli import COMMANDS, _emit, _human_lines, build_parser, main
+from hkmod.jsonio import canonical_json, encode
+from hkmod.lattice import vec
 from hkmod.nl import divisibility_type, econ_check, governing_divisibility, m0_s0
 
 
@@ -73,6 +76,41 @@ def test_walls_canonical_json(capsys):
         '{"lambda":[1,-1],"norm":-4,"pair_f":3,"pair_h":-1,"ray":[3,1]},'
         '{"lambda":[2,-1],"norm":-4,"pair_f":6,"pair_h":1,"ray":[6,-1]}]}\n'
     )
+
+
+# Payloads for the writer: nested dicts and lists of exact scalars, tuples and one record kind
+SCALARS = st.none() | st.booleans() | st.integers() | st.fractions() | st.text(max_size=4)
+RECORDS = st.lists(st.integers() | st.fractions(), min_size=1, max_size=3).map(vec)
+VALUES = st.recursive(
+    SCALARS | RECORDS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+PAYLOADS = st.dictionaries(st.text(max_size=5), VALUES | st.lists(VALUES, max_size=4), max_size=5)
+
+
+def emitted(payload, json_mode, no_timestamp, streamed=False):
+    """What _emit prints for payload; with streamed, each top-level list goes as an iterator."""
+    if streamed:
+        payload = {key: iter(v) if isinstance(v, list) else v for key, v in payload.items()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(argparse.Namespace(json=json_mode, no_timestamp=no_timestamp), payload)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS, st.booleans(), st.booleans())
+def test_the_writer_prints_what_the_one_shot_forms_print(payload, no_timestamp, streamed):
+    # the oracle is the whole-payload output: canonical_json of the payload, generated_at
+    # added unless --no-timestamp, and the human lines of its encode copy; a top-level list
+    # handed over as an iterator, an empty one included, prints the same bytes
+    out = emitted(payload, True, no_timestamp, streamed)
+    stamp = {} if no_timestamp else {"generated_at": json.loads(out)["generated_at"]}
+    assert out == canonical_json({**payload, **stamp})
+    lines = _human_lines(encode(payload))
+    assert emitted(payload, False, no_timestamp, streamed) == "".join(f"{x}\n" for x in lines)
 
 
 def test_walls_human_and_timestamp(capsys):
@@ -429,6 +467,22 @@ def test_sweep_econ_memory_does_not_grow_with_r0max(mode):
     code, peak_mb = proc.stdout.split()
     assert code == "0", proc.stderr
     assert float(peak_mb) < 30, f"sweep-econ at r0max = 20000 peaked at {peak_mb} MB, budget 30 MB"
+
+
+def walls_peak_mb(a, mode):
+    proc = run_child("-c", PEAK_RSS, sys.executable, "-m", "hkmod", "walls", "--e", "4", "--d",
+                     "50", "--a", a, *mode)
+    code, peak_mb = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return float(peak_mb)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json", "--no-timestamp"]], ids=["text", "json"])
+def test_walls_memory_holds_no_copy_of_the_payload(mode):
+    # the 6,933 walls of a = 10^5 are held once, as their dicts: no whole-payload JSON string
+    # and no encode copy, which took the peak 12.9 MB (text) and 7.1 MB (JSON) above a = 30
+    growth = walls_peak_mb("100000", mode) - walls_peak_mb("30", mode)
+    assert growth < 6, f"walls at a = 10^5 peaked {growth:.1f} MB above a = 30, budget 6 MB"
 
 
 @pytest.mark.parametrize("command", ["rigid", "reduce"])
@@ -988,20 +1042,24 @@ def test_a_refusal_echoes_an_over_long_value_cut(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
 
 
-# Commands that write more than two pipe buffers, line by line or row by row, for a reader
-# that reads one chunk and leaves
+# Commands that write more than two pipe buffers, line by line or element by element, for a
+# reader that reads one chunk and leaves
 CLOSED_PIPE = {
     "walls": ["walls", "--e", "4", "--d", "50", "--a", "100000"],
+    "walls-json": ["walls", "--e", "4", "--d", "50", "--a", "100000", "--json", "--no-timestamp"],
     "sweep-econ-json": ["sweep-econ", "--r0max", "20000", "--emax", "100", "--json",
                         "--no-timestamp"],
 }
 
 
-def closed_pipe_child(argv, chunk):
+def closed_pipe_child(argv, chunk, unbuffered=True):
     """Run hkmod with stdout a pipe that the parent closes after reading `chunk` bytes (before
-    the child writes, at 0); the child's exit code and stderr."""
+    the child writes, at 0), with PYTHONUNBUFFERED=1 or without it; the child's exit code and
+    stderr."""
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen([sys.executable, "-m", "hkmod", *argv], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=child_env())
+                            stderr=subprocess.PIPE,
+                            env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
     if chunk:
         assert len(proc.stdout.read(chunk)) == chunk
     proc.stdout.close()
@@ -1013,12 +1071,26 @@ def closed_pipe_child(argv, chunk):
 @pytest.mark.parametrize("argv", CLOSED_PIPE.values(), ids=CLOSED_PIPE)
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_stderr(argv):
     # read more than one pipe buffer (64 KiB on Linux), so the reader leaves while the child
-    # still writes: walls writes about 0.9 MB here, sweep-econ about 0.8 MB
+    # still writes: walls writes about 0.9 MB here (0.56 MB in JSON), sweep-econ about 0.8 MB.
+    # Unbuffered, each write goes straight to the pipe, and one that the reader cuts short
+    # returns a short count that TextIOWrapper drops: only a later write can raise
     assert closed_pipe_child(argv, 1 << 17) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", CLOSED_PIPE.values(), ids=CLOSED_PIPE)
+def test_a_reader_that_closes_buffered_stdout_early_gets_exit_1_and_no_stderr(argv):
+    assert closed_pipe_child(argv, 1 << 17, unbuffered=False) == (1, b"")
 
 
 def test_stdout_closed_before_the_child_writes_gets_exit_1_and_no_stderr():
     assert closed_pipe_child(["walls", "--e", "4", "--d", "3", "--a", "30"], 0) == (1, b"")
+
+
+def test_buffered_stdout_closed_before_the_child_writes_gets_exit_1_and_no_stderr():
+    # buffered, the short answer waits in the buffer, and only the flush in
+    # hkmod.__main__.run meets the closed pipe
+    argv = ["walls", "--e", "4", "--d", "3", "--a", "30"]
+    assert closed_pipe_child(argv, 0, unbuffered=False) == (1, b"")
 
 
 # Bad --ns values and their refusals: every subcommand that reads a lattice file gives the same

@@ -1,7 +1,7 @@
 """Checks on the hkmod sources: no float enters the exact arithmetic, no refusal rests on
 an `assert` that python -O strips, no import goes unread, the modules import without a
-cycle, and every public function, record, method, property and dunder is run by a
-subcommand or by verify-all."""
+cycle, every `sys.stdout.write` lies in the one writer `cli._emit`, and every public
+function, record, method, property and dunder is run by a subcommand or by verify-all."""
 
 import ast
 import importlib
@@ -97,6 +97,35 @@ TESTS = sorted((Path(__file__).resolve().parent).glob("*.py"))
 )
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def stdout_writes(tree: ast.AST, where: str = "") -> list[str]:
+    """Each sys.stdout.write in tree, called or not, as "function: line" with the innermost
+    function around it ("" at module level)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "write" and (
+                ast.unparse(node.value) == "sys.stdout"):
+            found.append(f"{where}: {node.lineno}")
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        found.extend(stdout_writes(node, inner))
+    return found
+
+
+def test_scan_sees_stdout_writes():
+    tree = ast.parse(
+        "import sys\nsys.stdout.write('a')\n\ndef f():\n    def g():\n"
+        "        sys.stdout.write('b')\n    out = sys.stdout.write\n    print('c')\n"
+    )
+    assert stdout_writes(tree) == [": 2", "g: 6", "f: 7"]
+
+
+def test_every_stdout_write_is_in_the_one_writer():
+    # one writer prints every payload: a handler that wrote its own would bring back a
+    # one-shot write of a whole payload, which a closed stdout can cut short unseen
+    writes = [f"{source_id(path)} {write}" for path in SOURCES
+              for write in stdout_writes(ast.parse(path.read_text()))]
+    assert writes and all(write.startswith("cli.py _emit: ") for write in writes), writes
 
 
 def relative_imports(tree: ast.AST, module: str = "") -> set[str]:
