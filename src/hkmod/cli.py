@@ -15,18 +15,19 @@ from collections.abc import Iterator
 from importlib import import_module
 
 from .errors import InputError, MathCheckError, SearchCapExceeded
-from .jsonio import _parse, canonical_json, encode
+from .jsonio import _exact, _parse, canonical_json
 from .verify import verify_all  # the runner only: the checks load when verify-all runs
 
 
 def _scalar(value) -> str:
-    if value is None or isinstance(value, (bool, list, dict)):
+    if value is None or isinstance(value, (bool, list, tuple, dict)):
         return json.dumps(value)  # true, false, null, [] or {}
     return str(value)
 
 
 def _human_lines(value, indent: int = 0) -> list[str]:
-    """'key: item' lines of a dict or '- item' lines of a list, nested containers indented."""
+    """'key: item' lines of a dict or '- item' lines of a list or tuple, nested containers
+    indented; any other item is lowered through jsonio._exact, as canonical_json lowers it."""
     pad = "  " * indent
     if isinstance(value, dict):
         labelled = ((f"{key}:", item) for key, item in value.items())
@@ -34,7 +35,9 @@ def _human_lines(value, indent: int = 0) -> list[str]:
         labelled = (("-", item) for item in value)
     lines: list[str] = []
     for label, item in labelled:
-        if isinstance(item, (dict, list)) and item:
+        if not (item is None or isinstance(item, (str, int, list, tuple, dict))):
+            item = _exact(item)
+        if isinstance(item, (dict, list, tuple)) and item:
             lines.append(pad + label)
             lines.extend(_human_lines(item, indent + 1))
         else:
@@ -60,7 +63,7 @@ def _emit(args, payload: dict) -> None:
             if args.json:
                 sys.stdout.write(canonical_json(value)[:-1])
             else:
-                print("\n".join(_human_lines(encode({key: value}))))
+                print("\n".join(_human_lines({key: value})))
             continue
         empty = True
         for item in value:
@@ -69,7 +72,7 @@ def _emit(args, payload: dict) -> None:
             else:
                 if empty:
                     print(f"{key}:")
-                print("\n".join(_human_lines([encode(item)], 1)))
+                print("\n".join(_human_lines([item], 1)))
             empty = False
         if args.json:
             sys.stdout.write("[]" if empty else "]")

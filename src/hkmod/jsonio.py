@@ -97,17 +97,12 @@ def _level(a) -> Fraction:
 
 
 def _exact(value):
-    """json's hook: a Fraction as an int or "p/q", a record as its to_json_dict()."""
+    """Both output modes' hook: a Fraction as an int or "p/q", a record as its to_json_dict()."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else str(value)
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     raise InputError(f"cannot encode {type(value).__name__} as JSON")
-
-
-def encode(value):
-    """JSON-ready data (Fractions written by _exact, tuples as lists), keys in insertion order."""
-    return json.loads(json.dumps(value, default=_exact))
 
 
 def canonical_json(value) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, gcd, lcm
 
 from .errors import InputError
 from .jsonio import _check_int, _level
@@ -164,25 +164,25 @@ def is_suitable(ns: EllipticNS, a) -> SuitabilityReport:
 
 
 def min_negative_norm(ns: EllipticNS) -> int:
-    """Smallest |q(w)| over integral classes with q(w) < 0.
+    """Smallest |q(w)| over integral classes with q(w) < 0, in O(log d) rounds.
 
-    For fixed x >= 1 the minimum of |x*(e*x + 2*d*y)| over y is x*t,
-    where t = (-e*x) mod 2d with a zero residue read as 2d. At x = 1
-    this is at most 2d, so a minimizer has x*t <= 2d and so
-    min(x, t) <= isqrt(2d). Scan x up to that bound; then, for each
-    such t that g = gcd(e, 2d) divides, solve -e*x = t (mod 2d) for
-    the least x >= 1 with one inverse of e/g mod 2d/g. O(sqrt(d)).
+    q(x*h + y*f) = -x*t with t = -(e*x + 2d*y), and x != 0 as e >= 0: the answer is the least x*t
+    over the lattice t = -e*x (mod 2d) with x, t >= 1. A basis u, w of it keeps x >= 0 and
+    t(u) > 0 >= t(w). A round reads the run u + j*w, 1 <= j <= k, k the most keeping t > 0, at its
+    ends (x*t is concave in j), moves u to its end, and adds to w the most multiples of u keeping
+    t(w) <= 0: Euclid's algorithm on (t(u), -t(w)). The README proves that no point is missed.
     """
     _check_int(ns.e, "e", 0)  # so negative-norm classes have x != 0
-    e, n = ns.e, 2 * ns.d
-    root = isqrt(n)
-    best = min(x * ((-e * x) % n or n) for x in range(1, root + 1))
-    g = gcd(e, n)
-    if g <= root:  # at e = 0, g = 2d exceeds root and no t qualifies
-        m = n // g
-        inverse = pow(e // g, -1, m)
-        for t in range(g, root + 1, g):
-            best = min(best, ((-(t // g) * inverse) % m or m) * t)
+    n = 2 * ns.d
+    (ux, ut), (wx, wt) = (0, n), (1, -ns.e % n - n)
+    best = n
+    while wt:
+        k = (ut - 1) // -wt
+        if k:
+            best = min(best, (ux + wx) * (ut + wt), (ux + k * wx) * (ut + k * wt))
+            ux, ut = ux + k * wx, ut + k * wt
+        m = -wt // ut
+        wx, wt = wx + m * ux, wt + m * ut
     return best
 
 

@@ -16,7 +16,8 @@ import hkmod
 import hkmod.checks
 from hkmod.__main__ import run as run_process
 from hkmod.cli import COMMANDS, _emit, _human_lines, build_parser, main
-from hkmod.jsonio import canonical_json, encode
+from hkmod.errors import InputError
+from hkmod.jsonio import _exact, canonical_json
 from hkmod.lattice import vec
 from hkmod.nl import divisibility_type, econ_check, governing_divisibility, m0_s0
 
@@ -104,13 +105,24 @@ def emitted(payload, json_mode, no_timestamp, streamed=False):
 @given(PAYLOADS, st.booleans(), st.booleans())
 def test_the_writer_prints_what_the_one_shot_forms_print(payload, no_timestamp, streamed):
     # the oracle is the whole-payload output: canonical_json of the payload, generated_at
-    # added unless --no-timestamp, and the human lines of its encode copy; a top-level list
-    # handed over as an iterator, an empty one included, prints the same bytes
+    # added unless --no-timestamp, and the human lines of its json round trip (the copy the
+    # text path once printed from); a top-level list handed over as an iterator, an empty one
+    # included, prints the same bytes
     out = emitted(payload, True, no_timestamp, streamed)
     stamp = {} if no_timestamp else {"generated_at": json.loads(out)["generated_at"]}
     assert out == canonical_json({**payload, **stamp})
-    lines = _human_lines(encode(payload))
+    lines = _human_lines(json.loads(json.dumps(payload, default=_exact)))
     assert emitted(payload, False, no_timestamp, streamed) == "".join(f"{x}\n" for x in lines)
+
+
+@pytest.mark.parametrize("payload", [{"x": object()}, {"rows": [1, {"y": (2, object())}]}])
+def test_both_modes_refuse_what_exact_cannot_lower(payload):
+    refusals = []
+    for json_mode in (True, False):
+        with pytest.raises(InputError) as refused:
+            emitted(payload, json_mode, True)
+        refusals.append(str(refused.value))
+    assert refusals == ["cannot encode object as JSON"] * 2
 
 
 def test_walls_human_and_timestamp(capsys):
@@ -480,7 +492,8 @@ def walls_peak_mb(a, mode):
 @pytest.mark.parametrize("mode", [[], ["--json", "--no-timestamp"]], ids=["text", "json"])
 def test_walls_memory_holds_no_copy_of_the_payload(mode):
     # the 6,933 walls of a = 10^5 are held once, as their dicts: no whole-payload JSON string
-    # and no encode copy, which took the peak 12.9 MB (text) and 7.1 MB (JSON) above a = 30
+    # and no JSON-ready copy for text, which took the peak 12.9 MB (text) and 7.1 MB (JSON)
+    # above a = 30; text lowers each value as it prints it
     growth = walls_peak_mb("100000", mode) - walls_peak_mb("30", mode)
     assert growth < 6, f"walls at a = 10^5 peaked {growth:.1f} MB above a = 30, budget 6 MB"
 

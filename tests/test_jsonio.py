@@ -12,7 +12,7 @@ from hkmod import fujiki, hilb2, mukai, nl, pipelines, reduction, walls
 from hkmod._commands.sweep_econ import cmd_sweep_econ
 from hkmod.errors import InputError
 from hkmod.jsonio import (
-    MAX_DIGITS, canonical_json, encode, load_json_file, to_int, to_rational,
+    MAX_DIGITS, _exact, canonical_json, load_json_file, to_int, to_rational,
 )
 from hkmod.lattice import IntLattice, lattice, vec
 from hkmod.verify import verify_all
@@ -56,6 +56,12 @@ def test_to_int():
         to_int("1/2", "rank")
     with pytest.raises(InputError):
         to_int(False)
+
+
+def encode(value):
+    """The json round trip through _exact that the text writer once printed from, kept as the
+    oracle of the hook: JSON data, tuples as lists, keys in insertion order."""
+    return json.loads(json.dumps(value, default=_exact))
 
 
 def test_encode():

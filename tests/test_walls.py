@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,44 @@ def test_min_negative_norm_matches_the_x_loop_exhaustively():
 @given(st.integers(0, 10**4), st.integers(1, 2 * 10**4))
 def test_min_negative_norm_matches_the_x_loop_at_random(e, d):
     assert min_negative_norm(EllipticNS(e, d)) == min_negative_norm_x_loop(e, d)
+
+
+def min_negative_norm_square_root_scan(e, d):
+    """The O(sqrt(d)) min_negative_norm used before the record walk: a minimizer has x*t <= 2d,
+    so min(x, t) <= isqrt(2d); scan x up to that bound, then solve each such t that
+    g = gcd(e, 2d) divides for its least x with one inverse of e/g mod 2d/g."""
+    n = 2 * d
+    root = isqrt(n)
+    best = min(x * ((-e * x) % n or n) for x in range(1, root + 1))
+    g = gcd(e, n)
+    if g <= root:  # at e = 0, g = 2d exceeds root and no t qualifies
+        m = n // g
+        inverse = pow(e // g, -1, m)
+        for t in range(g, root + 1, g):
+            best = min(best, ((-(t // g) * inverse) % m or m) * t)
+    return best
+
+
+def e_and_d(top):
+    """(e, d) with 1 <= d <= top and 0 <= e <= top; e = 0 and a multiple of 2d (2d itself when
+    it exceeds top) are drawn on purpose."""
+    return st.integers(1, top).flatmap(lambda d: st.tuples(
+        st.just(0) | st.integers(1, max(1, top // (2 * d))).map(lambda j: 2 * d * j)
+        | st.integers(0, top),
+        st.just(d),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e_and_d(2_000))
+def test_the_record_walk_matches_the_x_loop(e_d):
+    assert min_negative_norm(EllipticNS(*e_d)) == min_negative_norm_x_loop(*e_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e_and_d(10**6))
+def test_the_record_walk_matches_the_square_root_scan(e_d):
+    assert min_negative_norm(EllipticNS(*e_d)) == min_negative_norm_square_root_scan(*e_d)
 
 
 def test_min_negative_norm_frozen_at_large_d():
