@@ -1,4 +1,4 @@
-"""Process entry point: `python -m hkmod` and the `hkmod` console script."""
+"""Process entry point: `python -m hkmod`, the `hkmod` console script and `python -m hkmod.cli`."""
 
 import gc
 import os

@@ -296,6 +296,13 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _lattice_wall(ns, lam) -> walls.WallClass:
+    """The wall class of lam with its norm and pairings read from the lattice, not from
+    walls._wall_fields."""
+    lat = ns.lattice
+    return walls.WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pair(lat, lam, ns.f))
+
+
 def _two_sign_suitability(ns, a, h) -> walls.SuitabilityReport:
     """The rule walls.suitability_for used before it read one pairing:
     a wall witnesses unsuitability when h and f pair with it to different signs.
@@ -306,7 +313,7 @@ def _two_sign_suitability(ns, a, h) -> walls.SuitabilityReport:
         ph, pf = pair(lat, lam, h), pair(lat, lam, ns.f)
         generic = generic and ph != 0
         if _sign(ph) != _sign(pf):
-            witnesses.append(walls.WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pf))
+            witnesses.append(_lattice_wall(ns, lam))
     return walls.SuitabilityReport(not witnesses, generic, tuple(witnesses))
 
 
@@ -323,11 +330,8 @@ def enumeration_matches_box_scan(rng):
 
 def wall_fields_match_lattice(rng):
     ns = walls.EllipticNS(4, 3)
-    lat = ns.lattice
     for w in walls.enumerate_wall_classes(ns, 25):
-        if w.norm != norm(lat, w.lam):
-            return False, {}
-        if w.pair_h != pair(lat, w.lam, ns.h) or w.pair_f != pair(lat, w.lam, ns.f):
+        if w != _lattice_wall(ns, w.lam):
             return False, {}
     return True
 
@@ -381,8 +385,7 @@ def unsuitability_witnesses_violate_signs(rng):
         perps = [vec((Fraction(d * x, 2), Fraction(-(e * x + d * y), 2)))
                  for x, y in (box[0], box[-1], (1, box[0][1] - 1))]
         for h in (ns.h, *perps):
-            want = [walls.WallClass(lam, norm(lat, lam), pair(lat, lam, ns.h), pair(lat, lam, ns.f))
-                    for lam in map(vec, box) if pair(lat, lam, h) == 0]
+            want = [_lattice_wall(ns, lam) for lam in map(vec, box) if pair(lat, lam, h) == 0]
             wall = walls.orthogonal_wall(ns, a, h)
             if ([] if wall is None else [wall]) != want:
                 return False, {"e": e, "d": d, "h": h.to_json_dict()}
@@ -428,12 +431,7 @@ def modification_drop_law(rng):
         w = MukaiVector(r, vec((rng.randint(1, 6), rng.randint(-4, 4))), rng.randint(-4, 4))
         k = pair(lat, w.l, f)
         r_b = rng.randint(1, r - 1)
-        lo = None
-        for deg in range(-6, 7):
-            if r_b * k - r * deg > 0:
-                lo = deg
-        if lo is None:
-            continue
+        lo = (r_b * k - 1) // r  # the largest degree with r_b*k - r*deg > 0; k = x >= 1
         step = reduction.ModificationStep(r_b, lo)
         out = reduction.elementary_modification(lat, w, step, f)
         want = mukai_square(lat, w) - 2 * (r_b * k - r * lo)
@@ -521,26 +519,26 @@ def admissibility_examples(rng):
     num = mukai.MukaiNumerics.from_square(2, 4)
     if not nl.nl_k3_admissible(4, 31, num).ok:
         return False, {"case": 31}
-    if next(walls._wall_stream(4, 31, num.a_v), None):
-        return False, {"case": "31 walls"}
     if nl.nl_k3_admissible(4, 30, num).ok or nl.nl_k3_admissible(4, 32, num).ok:
         return False, {"case": "30/32"}
     if not nl.nl_hk_admissible(6, 74, 2).ok or nl.nl_hk_admissible(6, 72, 2).ok:
         return False, {"case": "hk"}
     if not nl.nl_hk_admissible(6, 71, 1).ok:
         return False, {"case": "hk 71"}
-    # the joint condition is the hk condition, an empty wall set at level a0, and gcd(m*i, d/i) = 1
-    for e, i, a0, m in product((6, 8), (1, 2), (Fraction(7, 2), Fraction(60)), (1, 3)):
+    # the joint condition is the hk condition, an empty wall set at level a0 and gcd(m*i, d/i) = 1;
+    # the grid holds the admissible example (e, d, i, a0, m) = (6, 74, 2, 12, 1)
+    levels = (Fraction(7, 2), Fraction(12), Fraction(60))
+    for e, i, a0, m in product((6, 8), (1, 2), levels, (1, 3)):
         thr = walls.no_wall_threshold(e, a0)
         start = max(thr, 10 * (e + 1)) // i * i
         for d in range(start - 2 * i, start + 3 * i, i):
             want = nl.nl_hk_admissible(e, d, i).ok and d >= thr and gcd(m * i, d // i) == 1
             if nl.propriostab_admissible(e, d, i, a0, m).ok != want:
                 return False, {"case": "propriostab", "e": e, "d": d, "i": i, "a0": a0, "m": m}
-    if not nl.propriostab_admissible(6, 74, 2, 12, 1).ok:
-        return False, {"case": "propriostab 74"}
-    if next(walls._wall_stream(6, 74, 12), None):
-        return False, {"case": "propriostab 74 walls"}
+    # and the admissible examples have no wall at their level
+    for e, d, a, case in ((4, 31, num.a_v, "31 walls"), (6, 74, 12, "propriostab 74 walls")):
+        if next(walls._wall_stream(e, d, a), None):
+            return False, {"case": case}
     return True
 
 
@@ -664,8 +662,7 @@ def induced_ext_generating_function(rng):
             )
             if k % 2 == 0:
                 tot += a[k // 2]
-            if tot % 2:
-                return False, {"a": a, "k": k}
+            # even: twice a sum over p < k - p, plus a(a + 1) for the middle term
             want.append(tot // 2)
         if got != tuple(want):
             return False, {"a": a, "got": got, "want": want}

@@ -228,4 +228,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    # python -m hkmod.cli hands over to the one process entry, hkmod.__main__.run, with its
+    # closed-stdout handling and exit-time freeze; importing that module here would be a cycle
+    import runpy
+
+    runpy.run_module(__package__, run_name="__main__", alter_sys=True)

@@ -21,10 +21,11 @@ from .lattice import (
     pair,
     primitive_part,
 )
-from .mukai import MukaiVector, _twist, mukai_from_json, numerics
+from .mukai import MukaiNumerics, MukaiVector, _twist, mukai_from_json, numerics
 from .record import Record, setfield
 from .report import Check, TheoremReport
 from .walls import (
+    EllipticNS,
     SuitabilityReport,
     _polarization,
     as_elliptic,
@@ -33,37 +34,41 @@ from .walls import (
 )
 
 
+def _elliptic_start(ns, v: MukaiVector, h: LatVec) -> tuple[EllipticNS, MukaiNumerics, Check]:
+    """The start both elliptic statements share, in this order: ns as an EllipticNS, h in its
+    positive cone (at every level, the nonpositive ones included), v's numerics, and the check
+    that v^2 >= -2. So malformed input (exit 2) is refused before a refusal of v (exit 1)."""
+    ns = as_elliptic(ns)
+    _polarization(ns, h)
+    num = numerics(ns.lattice, v)
+    square = Check("square_at_least_rigid_bound", num.v_square >= -2, {"v_square": num.v_square})
+    return ns, num, square
+
+
 def vbk3ell_pipeline(ns, v: MukaiVector, h: LatVec | None = None) -> TheoremReport:
     """Gate a vector on an elliptic surface: square above the rigid bound
     and rank coprime to the fiber degree. The wall-control constant, the
-    expected dimension and the suitability of h are reported, not gated.
+    expected dimension and the suitability of h (default ns.h) are reported, not gated.
     """
-    ns = as_elliptic(ns)
-    lat = ns.lattice
-    h_use = h if h is not None else ns.h
-    num = numerics(lat, v)
-    k = pair(lat, v.l, ns.f)
-    _polarization(ns, h_use)  # at every level, the nonpositive ones included
-    checks = (
-        Check(
-            "square_at_least_rigid_bound",
-            num.v_square >= -2,
-            {"v_square": num.v_square},
-        ),
-        Check("rank_coprime_to_fiber_degree", gcd(v.r, k) == 1, {"r": v.r, "k": k}),
-    )
+    ns = as_elliptic(ns)  # for its h
+    h = ns.h if h is None else h
+    ns, num, square = _elliptic_start(ns, v, h)
+    k = pair(ns.lattice, v.l, ns.f)
     if num.a_v > 0:
-        suit = suitability_for(ns, num.a_v, h_use)
+        suit = suitability_for(ns, num.a_v, h)
     else:  # a nonpositive level means the wall set is empty by definition
         suit = SuitabilityReport(suitable=True, generic=True, witnesses=())
     return TheoremReport(
         theorem="vbk3ell",
-        checks=checks,
+        checks=(
+            square,
+            Check("rank_coprime_to_fiber_degree", gcd(v.r, k) == 1, {"r": v.r, "k": k}),
+        ),
         data={
             "a": num.a_v,
             "n": num.n_v,
             "expected_dim": num.v_square + 2,
-            "h": h_use.to_json_dict(),
+            "h": h.to_json_dict(),
             "suitability": suit.to_json_dict(),
         },
     )
@@ -73,36 +78,19 @@ def casoprim_pipeline(ns, v: MukaiVector, h: LatVec) -> TheoremReport:
     """Gate a vector for primitivity results: square above the rigid
     bound, rank coprime to the content of the middle component, and the
     polarization generic for the wall-control constant."""
-    ns = as_elliptic(ns)
-    lat = ns.lattice
-    _polarization(ns, h)
-    num = numerics(lat, v)
+    ns, num, square = _elliptic_start(ns, v, h)
     c = content(v.l)
     wall = orthogonal_wall(ns, num.a_v, h) if num.a_v > 0 else None
-    orthogonal = [] if wall is None else [wall]
-    checks = (
-        Check(
-            "square_at_least_rigid_bound",
-            num.v_square >= -2,
-            {"v_square": num.v_square},
-        ),
-        Check(
-            "rank_coprime_to_content",
-            gcd(v.r, c) == 1,
-            {"r": v.r, "content": c},
-        ),
-        Check(
-            "polarization_generic",
-            not orthogonal,
-            {
-                "h": h.to_json_dict(),
-                "witnesses": [w.to_json_dict() for w in orthogonal],
-            },
-        ),
-    )
     return TheoremReport(
         theorem="casoprim",
-        checks=checks,
+        checks=(
+            square,
+            Check("rank_coprime_to_content", gcd(v.r, c) == 1, {"r": v.r, "content": c}),
+            Check("polarization_generic", wall is None, {
+                "h": h.to_json_dict(),
+                "witnesses": [] if wall is None else [wall.to_json_dict()],
+            }),
+        ),
         data={"a": num.a_v, "n": num.n_v},
     )
 

@@ -408,6 +408,14 @@ def test_a_polarization_outside_the_positive_cone_is_refused(capsys, tmp_path, a
     assert run(capsys, argv) == (2, "", err)
 
 
+def test_both_pipelines_refuse_a_scenario_bad_in_h_and_v_alike(capsys):
+    """h = [0, 1] has q(h) = 0, and v = (1, [1, 0], 0) has the odd square 3 on [[3, 1], [1, 0]]:
+    both pipelines gate h before v's numerics, so both refuse the malformed input, exit 2."""
+    outcomes = [run(capsys, [name, "--scenario", str(TESTS / f"{name}_bad_h_odd_v.json")])
+                for name in ("vbk3ell", "casoprim")]
+    assert outcomes == [(2, "", SELF_PAIRING)] * 2
+
+
 def test_sweep_econ(capsys):
     code, out, _ = run(
         capsys, ["sweep-econ", "--r0max", "2", "--emax", "40", "--json",
@@ -670,7 +678,8 @@ EXIT_PATHS = {
 
 
 @pytest.mark.parametrize("argv", EXIT_PATHS.values(), ids=EXIT_PATHS)
-@pytest.mark.parametrize("entry", [("-m", "hkmod"), ("-c", RUN_ENTRY)], ids=["-m", "run"])
+@pytest.mark.parametrize("entry", [("-m", "hkmod"), ("-c", RUN_ENTRY), ("-m", "hkmod.cli")],
+                         ids=["-m", "run", "-m-cli"])
 def test_process_entry_points_match_main_in_process(capsys, monkeypatch, entry, argv):
     monkeypatch.setenv("COLUMNS", "80")
     expected = run(capsys, argv)
@@ -1065,12 +1074,12 @@ CLOSED_PIPE = {
 }
 
 
-def closed_pipe_child(argv, chunk, unbuffered=True):
-    """Run hkmod with stdout a pipe that the parent closes after reading `chunk` bytes (before
-    the child writes, at 0), with PYTHONUNBUFFERED=1 or without it; the child's exit code and
-    stderr."""
+def closed_pipe_child(argv, chunk, unbuffered=True, module="hkmod"):
+    """Run `python -m module` with stdout a pipe that the parent closes after reading `chunk`
+    bytes (before the child writes, at 0), with PYTHONUNBUFFERED=1 or without it; the child's
+    exit code and stderr."""
     env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "hkmod", *argv], stdout=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, "-m", module, *argv], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE,
                             env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
     if chunk:
@@ -1104,6 +1113,18 @@ def test_buffered_stdout_closed_before_the_child_writes_gets_exit_1_and_no_stder
     # hkmod.__main__.run meets the closed pipe
     argv = ["walls", "--e", "4", "--d", "3", "--a", "30"]
     assert closed_pipe_child(argv, 0, unbuffered=False) == (1, b"")
+
+
+CLOSED_PIPE_CASES = {**{name: (argv, 1 << 17) for name, argv in CLOSED_PIPE.items()},
+                     "before-writes": (["walls", "--e", "4", "--d", "3", "--a", "30"], 0)}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, chunk", CLOSED_PIPE_CASES.values(), ids=CLOSED_PIPE_CASES)
+def test_python_m_hkmod_cli_hands_over_to_the_package_entry(argv, chunk, unbuffered):
+    # every closed-pipe case above, through the module spelling: hkmod.cli runs
+    # hkmod.__main__.run, so it too exits 1 with nothing on stderr
+    assert closed_pipe_child(argv, chunk, unbuffered, module="hkmod.cli") == (1, b"")
 
 
 # Bad --ns values and their refusals: every subcommand that reads a lattice file gives the same

@@ -108,6 +108,8 @@ def test_pair_and_norm():
     assert pair(HYP, vec((Fraction(1, 2), 0)), vec((1, 0))) == 1
     with pytest.raises(InputError):
         pair(HYP, vec((1, 0, 0)), vec((0, 1)))
+    with pytest.raises(InputError, match="vector length 3 does not match lattice rank 2"):
+        pair(HYP, vec((0, 1)), vec((1, 0, 0)))  # the second vector is checked too
 
 
 def test_pair_is_int_exactly_for_integral_vectors():
@@ -129,6 +131,8 @@ def test_content_and_primitive():
     assert primitive_part(HYP, vec((4, 6))) == vec((2, 3))
     with pytest.raises(InputError):
         primitive_part(HYP, vec((0, 0)))
+    with pytest.raises(InputError, match="vector length 3 does not match lattice rank 2"):
+        primitive_part(HYP, vec((4, 6, 2)))
 
 
 def test_saturation():
@@ -137,6 +141,9 @@ def test_saturation():
     assert not saturation_check(lat, vec((2, 0, 0)), vec((0, 2, 0)))
     with pytest.raises(InputError):
         saturation_check(lat, vec((1, 2, 0)), vec((2, 4, 0)))
+    for u, v in ((vec((1, 0)), vec((0, 1, 0))), (vec((1, 0, 0)), vec((0, 1)))):
+        with pytest.raises(InputError, match="vector length 2 does not match lattice rank 3"):
+            saturation_check(lat, u, v)
 
 
 def test_discriminant():

@@ -194,6 +194,26 @@ def test_an_elliptic_scenario_builds_its_lattice_once(monkeypatch, pipeline):
     assert as_elliptic(sc.ns).lattice is sc.ns
 
 
+def outcome(pipeline, ns, v, h):
+    """What running the scenario gives: the refusal's type and text, or None for a report."""
+    try:
+        run_scenario(Scenario(pipeline, ns, v, h))
+    except (InputError, MathCheckError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 4), st.integers(1, 3), st.integers(0, 2), st.integers(-2, 2),
+       st.integers(-2, 2), st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 3))
+def test_both_pipelines_refuse_a_scenario_alike(e, d, r, x, y, s, h1, h2):
+    """The pipelines share their start (the lattice, then h, then v's numerics), so a scenario
+    that either refuses, h outside the positive cone, rank 0 or an odd square, both refuse with
+    the same error; malformed h (exit 2) comes before a refusal of v (exit 1)."""
+    ns, v, h = lattice(((e, d), (d, 0))), MukaiVector(r, vec((x, y)), s), vec((h1, h2))
+    assert outcome("vbk3ell", ns, v, h) == outcome("casoprim", ns, v, h)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))

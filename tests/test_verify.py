@@ -1,10 +1,11 @@
+import ast
 import inspect
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import floor, gcd
 from pathlib import Path
 
@@ -59,6 +60,19 @@ def test_filtered_run():
 def test_unknown_filter():
     with pytest.raises(InputError):
         verify_all("nomatch")
+
+
+def test_a_check_that_raises_fails_with_its_error_and_the_others_still_run(monkeypatch):
+    def raises(rng):
+        raise ValueError("no answer")
+
+    first, *rest = SUITES["lattice"]
+    monkeypatch.setitem(SUITES, "lattice", (first, raises, *rest))
+    summary = verify_all("lattice")
+    ran = summary.suites[0].checks
+    assert [c.name for c in ran] == [first.__name__, "raises", *(fn.__name__ for fn in rest)]
+    assert (ran[1].passed, ran[1].data) == (False, {"error": "ValueError: no answer"})
+    assert summary.failures() == ["lattice.raises"]
 
 
 def wide_box_walls(e, d, a):
@@ -200,6 +214,11 @@ MUTATIONS = {
         lambda f: lambda ns: f(ns) + 1,
         "walls", "min_negative_norm_brute_force",
     ),
+    "wall_stream_adds_the_polarization": (
+        walls, "_wall_stream",
+        lambda f: lambda e, d, a: chain(f(e, d, a), [(1, 0)]),
+        "nl", "admissibility_examples",
+    ),
     "top_intersection_off_by_one": (
         fujiki, "top_intersection",
         lambda f: lambda setup, classes: f(setup, classes) + 1,
@@ -220,14 +239,39 @@ MUTATIONS = {
         lambda f: lambda e, d: changed(f(e, d), unique=not f(e, d).unique),
         "nl", "isotropic_ray_unique_iff_indivisible",
     ),
+    "isotropic_e_divides_d_negated": (
+        nl, "nef_isotropic_classes",
+        lambda f: lambda e, d: changed(f(e, d), e_divides_d=not f(e, d).e_divides_d),
+        "nl", "isotropic_ray_unique_iff_indivisible",
+    ),
     "k3_admissible_always": (
         nl, "nl_k3_admissible",
         lambda f: lambda e, d, num: nl.Admissibility(True, ()),
         "nl", "admissibility_examples",
     ),
+    "k3_admissible_needs_one_more": (
+        nl, "nl_k3_admissible",
+        lambda f: lambda e, d, num: f(e, d - 1, num),
+        "nl", "admissibility_examples",
+    ),
+    "hk_admissible_ignores_divisibility": (
+        nl, "nl_hk_admissible",
+        lambda f: lambda e, d, i: ignoring(f(e, d, i), "e does not divide 2d"),
+        "nl", "admissibility_examples",
+    ),
+    "hk_parity_whatever_i": (
+        nl, "nl_hk_admissible",
+        lambda f: lambda e, d, i: f(e, d, 2),
+        "nl", "admissibility_examples",
+    ),
     "buonacompt_bound_shifted": (
         nl, "buonacompt_bound",
         lambda f: lambda r0, e: f(r0, e) + 1,
+        "nl", "min_d_search_is_minimal",
+    ),
+    "buonacompt_min_d_one_step_late": (
+        nl, "buonacompt_min_d",
+        lambda f: lambda r0, e, i, **cap: f(r0, e, i, **cap) + i,
         "nl", "min_d_search_is_minimal",
     ),
     "rigsuk_bound_shifted": (
@@ -295,9 +339,24 @@ MUTATIONS = {
         lambda f: lambda ns, v, dlen: (f(ns, v, dlen)[0], f(ns, v, dlen)[1] + 1),
         "reduction", "nonlocally_free_dimension_identity",
     ),
+    "dimension_sides_shifted_together": (
+        reduction, "nonlocally_free_dim_identity",
+        lambda f: lambda ns, v, dlen: tuple(side + dlen for side in f(ns, v, dlen)),
+        "reduction", "nonlocally_free_dimension_identity",
+    ),
     "f2_a_mod_off_by_one": (
         hilb2, "f2_invariants",
         lambda f: lambda r0: changed(f(r0), a_mod=f(r0).a_mod + 1),
+        "hilb2", "exterior_square_invariants_closed_form",
+    ),
+    "f2_rank_off_by_one": (
+        hilb2, "f2_invariants",
+        lambda f: lambda r0: changed(f(r0), rank=f(r0).rank + 1),
+        "hilb2", "exterior_square_invariants_closed_form",
+    ),
+    "f2_d_mod_off_by_one": (
+        hilb2, "f2_invariants",
+        lambda f: lambda r0: changed(f(r0), d_mod=f(r0).d_mod + 1),
         "hilb2", "exterior_square_invariants_closed_form",
     ),
     "multacca_changes_square": (
@@ -308,6 +367,13 @@ MUTATIONS = {
     "multacca_gcd_not_one": (
         pipelines, "multacca_normalize",
         lambda f: lambda ns, v, h, n: changed(f(ns, v, h, n), gcd_r_x=f(ns, v, h, n).gcd_r_x + 1),
+        "pipelines", "twist_normalization_squares",
+    ),
+    "multacca_ray_doubled": (
+        pipelines, "multacca_normalize",
+        lambda f: lambda ns, v, h, n: changed(
+            f(ns, v, h, n), ray=None if f(ns, v, h, n).ray is None else 2 * f(ns, v, h, n).ray
+        ),
         "pipelines", "twist_normalization_squares",
     ),
     "potenza_answers_shifted": (
@@ -333,6 +399,11 @@ MUTATIONS = {
     "end0_vanishing_negated": (
         hilb2, "mckay_ext_dims",
         lambda f: lambda a: changed(f(a), end0_vanishing=not f(a).end0_vanishing),
+        "hilb2", "induced_ext_vanishing_pattern",
+    ),
+    "end0_vanishing_always": (
+        hilb2, "mckay_ext_dims",
+        lambda f: lambda a: changed(f(a), end0_vanishing=True),
         "hilb2", "induced_ext_vanishing_pattern",
     ),
     "propsemi_bound_negated": (
@@ -385,6 +456,11 @@ MUTATIONS = {
         lambda f: lambda lat, u, v: f(lat, u, v) + v.coords[0],
         "lattice", "pairing_bilinear_symmetric",
     ),
+    "pair_not_bilinear": (
+        checks, "pair",
+        lambda f: lambda lat, u, v: f(lat, u, v) + (u.coords[0] * v.coords[0]) ** 2,
+        "lattice", "pairing_bilinear_symmetric",
+    ),
     "discriminant_off_by_one": (
         checks, "discriminant",
         lambda f: lambda lat: f(lat) + 1,
@@ -415,9 +491,29 @@ MUTATIONS = {
         lambda f: lambda ns, r, c1, c2: bump_s(f(ns, r, c1, c2)),
         "mukai", "chern_dictionary_cases",
     ),
+    "from_chern_ignores_c2": (
+        checks, "from_chern",
+        lambda f: lambda ns, r, c1, c2: f(ns, r, c1, 0),
+        "mukai", "chern_dictionary_cases",
+    ),
+    "from_chern_reads_rank_one": (
+        checks, "from_chern",
+        lambda f: lambda ns, r, c1, c2: changed(f(ns, r, c1, c2), s=f(ns, r, c1, c2).s - r + 1),
+        "mukai", "chern_dictionary_cases",
+    ),
     "numerics_delta_off_by_one": (
         checks, "numerics",
         lambda f: lambda ns, v: changed(f(ns, v), delta=f(ns, v).delta + 1),
+        "mukai", "derived_numerics_identities",
+    ),
+    "numerics_a_off_by_one": (
+        checks, "numerics",
+        lambda f: lambda ns, v: changed(f(ns, v), a_v=f(ns, v).a_v + 1),
+        "mukai", "derived_numerics_identities",
+    ),
+    "numerics_n_off_by_one": (
+        checks, "numerics",
+        lambda f: lambda ns, v: changed(f(ns, v), n_v=f(ns, v).n_v + 1),
         "mukai", "derived_numerics_identities",
     ),
     "fujiki_constant_off_by_one": (
@@ -457,6 +553,18 @@ MUTATIONS = {
         ),
         "pipelines", "pipeline_example_verdicts",
     ),
+    "vbk3ell_always_suitable": (
+        pipelines, "vbk3ell_pipeline",
+        lambda f: lambda ns, v, h=None: with_data(
+            f(ns, v, h), suitability={**f(ns, v, h).data["suitability"], "suitable": True}
+        ),
+        "pipelines", "pipeline_example_verdicts",
+    ),
+    "casoprim_drops_genericity": (
+        pipelines, "casoprim_pipeline",
+        lambda f: lambda ns, v, h: without_last_check(f(ns, v, h)),  # polarization_generic
+        "pipelines", "pipeline_example_verdicts",
+    ),
     "run_scenario_counts_its_calls": (
         pipelines, "run_scenario",
         numbering_calls,
@@ -480,3 +588,47 @@ def test_every_check_refutes_a_mutation():
     # as test_every_check_is_in_the_table_once does for the table: no check goes unproven
     refuting = {check for *_, check in MUTATIONS.values()}
     assert refuting == {fn.__name__ for _, fn in TABLE}
+
+
+def returned_from(suite, check):
+    """The line of hkmod/checks.py that a run of the check through verify._check returns from."""
+    lines = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            lines.append(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is check.__code__ else None)
+    try:
+        verify._check(suite, check)
+    finally:
+        sys.settrace(previous)
+    return lines[-1]
+
+
+def failure_returns(source):
+    """The lines of the `return False, ...` statements of a module's source."""
+    return {
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+        and isinstance(node.value.elts[0], ast.Constant) and node.value.elts[0].value is False
+    }
+
+
+def test_scan_sees_failure_returns():
+    source = "def c(rng):\n    if rng:\n        return False, {}\n    return True, {}\n"
+    assert failure_returns(source) == {3}
+
+
+def test_every_failure_return_is_reached_by_a_mutation(monkeypatch):
+    """Each `return False, ...` of a check is where some mutation's wrong answer is refuted,
+    so no failure branch of verify-all is dead code."""
+    reached = set()
+    for module, name, wrong, suite, check in MUTATIONS.values():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, wrong(getattr(module, name)))
+            reached.add(returned_from(suite, getattr(checks, check)))
+    unreached = failure_returns(Path(checks.__file__).read_text()) - reached
+    assert not unreached, f"no mutation reaches the failure returns at checks.py lines {unreached}"
